@@ -606,19 +606,23 @@ def check_carac_conditions(
         "ii", worst_ii[0] < p.eps, worst_ii[0], p.eps, witness=worst_ii[1],
         evaluations=d * q)
 
-    # (iii) tail sums over j > k for every (k, axis, l)
+    # (iii) tail sums over j > k for every (k, axis, l).  The denominator
+    # window(lambda_j, l, n_j) does not depend on k: dens[ax][j][l] holds it
+    # for j >= 1, computed one lambda_j at a time so the window memo stays warm.
+    dens = [[None] + [[log_cum_window(fams[ax], lam_j[ax], l, n_j) for l in range(p.N + 1)]
+                      for n_j, lam_j in sched[1:]]
+            for ax in range(d)]
     worst_iii = (-math.inf, None)
     evals = 0
     for k in range(q):
         n_k, lam_k = sched[k]
         for ax in range(d):
+            den = dens[ax]
             for l in range(p.N + 1):
                 logcs = []
                 for j in range(k + 1, q):
-                    n_j, lam_j = sched[j]
-                    num = log_cum_window(fams[ax], lam_k[ax], n_j - n_k + l, n_k)
-                    den = log_cum_window(fams[ax], lam_j[ax], l, n_j)
-                    logcs.append(num - den)
+                    num = log_cum_window(fams[ax], lam_k[ax], sched[j][0] - n_k + l, n_k)
+                    logcs.append(num - den[j][l])
                 evals += 1
                 if not logcs:
                     continue

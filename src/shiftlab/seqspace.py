@@ -6,18 +6,23 @@ arithmetic that would leave that range raises instead of wrapping.  Two
 products are supported: the coordinatewise product and the convolution
 (Cauchy) product.  Norms: l^p for p >= 1 (l1 is lp(1)) and the sup norm.
 
-Coefficients may underflow to exact zero during products or powers; such
-entries are dropped from the canonical form silently.
+Coefficients below the smallest normal double (sys.float_info.min) in
+magnitude count as zero: products or powers that underflow into the
+subnormal range drop the entry from the canonical form silently.  Which
+entries underflow still depends on the order of the products, so the
+convolution power keeps the order of the repeated product.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 MAX_INDEX = 2**63 - 1
+_TINY = sys.float_info.min  # |c| < _TINY is stored as an exact zero
 
 
 class IndexOverflowError(OverflowError):
@@ -44,6 +49,7 @@ class SeqVec:
 
     def __init__(self, entries: Optional[Dict[int, float] | Iterable[Tuple[int, float]]] = None):
         e: Dict[int, float] = {}
+        tiny = _TINY
         if entries is not None:
             items = entries.items() if isinstance(entries, dict) else entries
             for k, c in items:
@@ -51,10 +57,11 @@ class SeqVec:
                 c = float(c)
                 if not math.isfinite(c):
                     raise ValueError(f"non-finite coefficient {c!r} at index {k}")
-                if c != 0.0:
-                    e[k] = e.get(k, 0.0) + c
-                    if e[k] == 0.0:
-                        del e[k]
+                c += e.get(k, 0.0)
+                if -tiny < c < tiny:
+                    e.pop(k, None)
+                else:
+                    e[k] = c
         self._e = e
 
     # -- queries ------------------------------------------------------------
@@ -90,7 +97,7 @@ class SeqVec:
         out = dict(self._e)
         for k, c in other._e.items():
             s = out.get(k, 0.0) + c
-            if s == 0.0:
+            if -_TINY < s < _TINY:
                 out.pop(k, None)
             else:
                 out[k] = s
@@ -161,24 +168,21 @@ def product(x: SeqVec, y: SeqVec, kind: ProductKind) -> SeqVec:
 def power(x: SeqVec, m: int, kind: ProductKind) -> SeqVec:
     """m-fold product of x with itself, m >= 1.
 
-    The coordinatewise power uses the closed form (entry k maps to entry_k**m);
-    the convolution power uses binary exponentiation on sparse maps.
+    The coordinatewise power uses the closed form (entry k maps to entry_k**m).
+    The convolution power multiplies by x from the right, m - 1 times, so its
+    rounding and underflow are exactly those of the repeated product
+    product(...product(x, x)..., x).  Reordering the products (binary
+    exponentiation) lets intermediate entries near the underflow range vanish
+    in one order and survive in another, which changes the support.
     """
     if m < 1:
         raise ValueError(f"power requires m >= 1, got {m}")
     if kind is ProductKind.COORDINATEWISE:
         return SeqVec({k: c**m for k, c in x.items()})
     if kind is ProductKind.CONVOLUTION:
-        acc: Optional[SeqVec] = None
-        base = x
-        mm = m
-        while mm:
-            if mm & 1:
-                acc = base if acc is None else product(acc, base, kind)
-            mm >>= 1
-            if mm:
-                base = product(base, base, kind)
-        assert acc is not None
+        acc = x
+        for _ in range(m - 1):
+            acc = product(acc, x, kind)
         return acc
     raise TypeError(f"unknown product kind {kind!r}")
 

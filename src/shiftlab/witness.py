@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covering import Covering, LogCoveringParams, build_log_covering
-from .seqspace import L1, ProductKind, SeqVec, norm, power
+from .seqspace import L1, ProductKind, SeqVec, norm, power, product
 from .weights import WeightFamily, apply_backward_power, log_cum_window
 
 SWEEP_COLUMNS = [
@@ -368,12 +368,14 @@ def _conv_budget_check(w: Witness, m: int, budget: int):
 def _premature_bruteforce(w: Witness, cfg: WitnessConfig, lam, N: int,
                           budget: int = 2_000_000) -> float:
     worst = 0.0
+    pws = list(w.vectors)  # pws[ax] is power(w.vectors[ax], n, CONVOLUTION)
     for n in range(1, cfg.m):
         _conv_budget_check(w, n, budget)
         total = 0.0
         for ax in range(cfg.d):
-            pw = power(w.vectors[ax], n, ProductKind.CONVOLUTION)
-            shifted = apply_backward_power(cfg.fams[ax], lam[ax], N, pw)
+            if n > 1:
+                pws[ax] = product(pws[ax], w.vectors[ax], ProductKind.CONVOLUTION)
+            shifted = apply_backward_power(cfg.fams[ax], lam[ax], N, pws[ax])
             total += norm(shifted, L1)
         worst = max(worst, total)
     return worst

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from shiftlab import criteria
 from shiftlab.covering import GradedParams, build_graded_covering
 from shiftlab.criteria import (
     CaracParams,
@@ -268,6 +269,65 @@ class TestCaracConditions:
             for name in ("ii", "iii"):
                 if r1.conditions[name].passed:
                     assert r2.conditions[name].passed
+
+
+def affine_window_bruteforce(alpha, lam, l, n):
+    return math.fsum(math.log1p(lam / i ** (1.0 - alpha)) for i in range(l + 1, l + n + 1))
+
+
+def carac_iii_bruteforce(alphas, sched, N):
+    """Largest l1 tail sum of condition (iii) and its (k, axis, l), term by term."""
+    best, witness = -math.inf, None
+    for k, (n_k, lam_k) in enumerate(sched):
+        for ax, alpha in enumerate(alphas):
+            for l in range(N + 1):
+                logcs = [affine_window_bruteforce(alpha, lam_k[ax], n_j - n_k + l, n_k)
+                         - affine_window_bruteforce(alpha, lam_j[ax], l, n_j)
+                         for n_j, lam_j in sched[k + 1:]]
+                if not logcs:
+                    continue
+                top = max(logcs)
+                val = math.exp(top + math.log(math.fsum(math.exp(c - top) for c in logcs)))
+                if val > best:
+                    best, witness = val, {"k": k, "axis": ax, "l": l}
+    return best, witness
+
+
+class TestCaracAffineTails:
+    Q, N = 8, 12
+
+    def instance(self):
+        # distinct lambda_k on each axis, uneven gaps
+        sched = [(45 * k + 7 * (k % 3), (1.1 + 0.05 * k, 0.6 + 0.11 * k))
+                 for k in range(1, self.Q + 1)]
+        p = CaracParams(m=2, tau=1.0, N=self.N, eps=1.0, K=((1.15, 1.5), (0.7, 1.4)),
+                        F=LipschitzProfile("power", 1.0, 0.5), c=0.5, C=2.0)
+        return sched, p
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    def test_iii_matches_bruteforce(self, alpha):
+        sched, p = self.instance()
+        fam = WeightFamily.affine(alpha)
+        rep = check_carac_conditions((fam, fam), sched, p)
+        achieved, witness = carac_iii_bruteforce((alpha, alpha), sched, self.N)
+        assert rep.conditions["iii"].achieved == pytest.approx(achieved, rel=1e-12)
+        assert rep.conditions["iii"].witness == witness
+
+    def test_iii_window_calls_are_hoisted(self, monkeypatch):
+        sched, p = self.instance()
+        calls = []
+        window = criteria.log_cum_window
+
+        def counted(fam, lam, l, n):
+            calls.append((l, n))
+            return window(fam, lam, l, n)
+
+        monkeypatch.setattr(criteria, "log_cum_window", counted)
+        rep = check_carac_conditions((AFF0, AFF0), sched, p)
+        d, q, N = 2, self.Q, self.N
+        others = rep.conditions["ii"].evaluations + 2 * rep.conditions["H"].evaluations
+        assert len(calls) - others <= d * (N + 1) * (q * (q - 1) // 2 + q)
+        assert all(isinstance(l, int) and isinstance(n, int) for l, n in calls)
 
 
 class TestReportDeterminism:

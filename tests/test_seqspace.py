@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.seqspace import (
@@ -90,6 +90,11 @@ class TestPower:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 40), st.floats(-3, 3)), max_size=6),
            st.integers(1, 6))
+    # a subnormal entry underflows in a different order along the two paths
+    @example([(0, 0.5), (1, 5e-324), (2, 2.0)], 6)
+    # a normal result whose intermediate entries underflow in different steps
+    @example([(0, 0.71484375), (0, -0.8671875), (1, 2.581683108553186e-297),
+              (2, 1.987558808359587e-11), (4, 1.375)], 6)
     def test_conv_power_matches_naive_product(self, pairs, m):
         x = SeqVec(pairs)
         fast = power(x, m, CONV)

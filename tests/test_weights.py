@@ -2,13 +2,16 @@
 
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftlab import weights
 from shiftlab.seqspace import SeqVec, basis
 from shiftlab.weights import (
     InadmissibleParameterError,
@@ -119,6 +122,74 @@ class TestLargeWindowPaths:
         got = log_cum_window(AFFINE0, 3.0, 0, 10**8)
         assert got == pytest.approx(3.0 * math.log(10**8), rel=0.05)
         assert math.isfinite(got)
+
+
+def affine_mpmath_window(alpha, lam, l, n):
+    """The window summed term by term in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        e = 1 - mpmath.mpf(alpha)
+        return float(mpmath.fsum(mpmath.log1p(mpmath.mpf(lam) / mpmath.mpf(i) ** e)
+                                 for i in range(l + 1, l + n + 1)))
+
+
+class TestPrefixTablePath:
+    CAP = weights._TABLE_MAX
+    # (l, n): first term, short and mid windows, and both sides of the cutoff
+    WINDOWS = [(0, 1), (0, 50), (1000, 100), (4095, 1), (12345, 3),
+               (CAP - 2, 1), (CAP - 8, 7), (CAP - 1, 1), (CAP - 9, 9)]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 0.9])
+    @pytest.mark.parametrize("lam", [1e-3, 1.5, 7.0])
+    def test_within_two_ulp_of_fsum_and_mpmath(self, alpha, lam):
+        fam = WeightFamily.affine(alpha)
+        for l, n in self.WINDOWS:
+            got = log_cum_window(fam, lam, l, n)
+            for ref in (weights._affine_fsum_window(alpha, lam, l, n),
+                        affine_mpmath_window(alpha, lam, l, n)):
+                assert abs(got - ref) <= 2 * math.ulp(ref), (l, n, got, ref)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    def test_long_table_windows_match_fsum(self, alpha):
+        rng = random.Random(11)
+        for _ in range(40):
+            l = rng.randrange(0, self.CAP - 1)
+            n = rng.randrange(1, self.CAP - l)
+            got = weights._affine_window(alpha, 2.3, l, n)
+            ref = weights._affine_fsum_window(alpha, 2.3, l, n)
+            assert abs(got - ref) <= 2 * math.ulp(ref)
+
+    def test_cutoff_is_on_the_window_end(self):
+        weights._affine_prefix_table.cache_clear()
+        log_cum_window(AFFINE0, 1.25, self.CAP - 5, 5)
+        assert weights._affine_prefix_table.cache_info().currsize == 0
+        log_cum_window(AFFINE0, 1.25, self.CAP - 6, 5)
+        assert weights._affine_prefix_table.cache_info().currsize == 1
+
+    def test_entries_do_not_depend_on_table_size(self):
+        small = weights._affine_prefix_table(0.4, 1.5, weights._TABLE_MIN)
+        big = weights._affine_prefix_table(0.4, 1.5, self.CAP)
+        for a, b in zip(small, big):
+            assert a.tolist() == b[:weights._TABLE_MIN].tolist()
+
+    def test_memo_stays_bounded(self):
+        info = weights._affine_prefix_table.cache_info()
+        for i in range(info.maxsize + 5):
+            log_cum_window(AFFINE0, 1.0 + i / 64, 3, 100)
+        assert weights._affine_prefix_table.cache_info().currsize <= info.maxsize
+
+    def test_threads_see_the_same_windows(self):
+        jobs = [(fam, 0.5 + i / 8, 7 * i, 500 + 911 * i)
+                for i in range(12) for fam in (AFFINE0, WeightFamily.affine(0.4))]
+
+        def window(job):
+            return log_cum_window(*job)
+
+        weights._affine_prefix_table.cache_clear()
+        serial = [window(j) for j in jobs]
+        weights._affine_prefix_table.cache_clear()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(window, jobs))
+        assert threaded == serial
 
 
 class TestWindowAdditivity:
