@@ -1,0 +1,56 @@
+"""Golden reports: every docs/examples payload through the CLI, byte for byte.
+
+The files under tests/golden/ are the reports the CLI wrote for the shipped
+examples; a change that moves any of their bytes shows up here.  The
+cover-verify case checks the covering written by the graded build example.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from shiftlab.cli import run
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# golden file -> (command, example payload, output format)
+CASES = {
+    "carac_check.json": ("carac-check", "carac_check", "json"),
+    "corollary_check.json": ("corollary-check", "corollary_check", "json"),
+    "criterion_check.json": ("criterion-check", "criterion_check", "json"),
+    "graded_cover_build.json": ("cover-build", "graded_cover_build", "json"),
+    "log_cover_build.json": ("cover-build", "log_cover_build", "json"),
+    "orbit_probe.json": ("orbit-probe", "orbit_probe", "json"),
+    "unif_check.json": ("unif-check", "unif_check", "json"),
+    "witness_eval.json": ("witness-eval", "witness_eval", "json"),
+    "witness_sweep.json": ("witness-sweep", "witness_sweep", "json"),
+    "witness_sweep.csv": ("witness-sweep", "witness_sweep", "csv"),
+}
+
+
+def report_bytes(tmp_path, command: str, payload: dict, fmt: str = "json") -> bytes:
+    out = tmp_path / "report"
+    job = {"command": command, "payload": payload,
+           "output": {"format": fmt, "path": str(out)}}
+    assert run(job) == 0
+    return out.read_bytes()
+
+
+def example(name: str) -> dict:
+    return json.loads((EXAMPLES / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize("golden", sorted(CASES))
+def test_example_report_bytes(golden, tmp_path):
+    command, name, fmt = CASES[golden]
+    got = report_bytes(tmp_path, command, example(name), fmt)
+    assert got == (GOLDEN / golden).read_bytes()
+
+
+def test_cover_verify_of_graded_build(tmp_path):
+    covering = json.loads((GOLDEN / "graded_cover_build.json").read_text())
+    payload = {"covering": covering, "K": example("graded_cover_build")["K"]}
+    got = report_bytes(tmp_path, "cover-verify", payload)
+    assert got == (GOLDEN / "graded_cover_verify.json").read_bytes()
