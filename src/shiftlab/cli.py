@@ -2,13 +2,14 @@
 
 Subcommands map one-to-one onto the library checkers plus an orbit probe.
 Every payload is validated against its JSON schema (shipped under
-``shiftlab/schemas`` and mirrored in ``docs/schemas``) before any
-computation.  Exit codes: 0 all checks passed, 1 a check failed (the report
-is still written), 2 usage or configuration error (nothing is written).
+``shiftlab/schemas``) before any computation.  Exit codes: 0 all checks
+passed, 1 a check failed (the report is still written), 2 usage or
+configuration error, including an output path that cannot be opened
+(nothing is written).
 
-Reports are deterministic: identical job plus seed yields byte-identical
-output.  The worker pool for sweeps is sized by --threads or the
-SHIFTLAB_THREADS environment variable (default: logical cores).
+Reports are deterministic: an identical job yields byte-identical output.
+The seed is echoed into ``meta.seed`` only; nothing draws a random number.
+Every command runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ def _parse_vecs(objs) -> Tuple[SeqVec, ...]:
 
 def _parse_norm(obj) -> SpaceNorm:
     return L1 if obj is None else SpaceNorm.from_json(obj)
-
-
-def _parse_graded(obj) -> GradedParams:
-    return GradedParams.from_json_dict(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -147,24 +144,24 @@ def orbit_probe(
 CsvData = Optional[Tuple[List[str], List[dict]]]
 
 
-def _h_cover_build(payload: dict, ctx: dict):
+def _h_cover_build(payload: dict):
     kind = payload["kind"]
     if kind == "log":
         params = LogCoveringParams.from_json_dict(payload["params"])
         cov = covmod.build_log_covering(params, q_override=payload.get("q_override"))
     elif kind == "graded":
-        params = _parse_graded(payload["params"])
+        params = GradedParams.from_json_dict(payload["params"])
         cov = covmod.build_graded_covering(covmod.as_box(payload["K"]), params)
     else:
         raise ConfigError(f"unknown covering kind {kind!r}")
     return True, cov.to_json_dict(), None
 
 
-def _h_cover_verify(payload: dict, ctx: dict):
+def _h_cover_verify(payload: dict):
     cov = Covering.from_json_dict(payload["covering"])
     params_obj = payload.get("params")
     if params_obj is not None:
-        params = _parse_graded(params_obj)
+        params = GradedParams.from_json_dict(params_obj)
     elif isinstance(cov.params, GradedParams):
         params = cov.params
     else:
@@ -179,7 +176,7 @@ def _report_out(report: critmod.CriterionReport) -> Tuple[bool, dict, CsvData]:
     return report.overall, report.to_json_dict(), (header, rows)
 
 
-def _h_criterion_check(payload: dict, ctx: dict):
+def _h_criterion_check(payload: dict):
     report = critmod.check_basic_criterion(
         fams=_parse_families(payload["families"]),
         cov=Covering.from_json_dict(payload["covering"]),
@@ -194,7 +191,7 @@ def _h_criterion_check(payload: dict, ctx: dict):
     return _report_out(report)
 
 
-def _h_unif_check(payload: dict, ctx: dict):
+def _h_unif_check(payload: dict):
     po = dict(payload["params"])
     params = critmod.UnifParams(
         m_prime=int(po["m_prime"]), alpha=float(po["alpha"]), C1=float(po["C1"]),
@@ -215,7 +212,7 @@ def _h_unif_check(payload: dict, ctx: dict):
     return passed, obj, csv_data
 
 
-def _h_corollary_check(payload: dict, ctx: dict):
+def _h_corollary_check(payload: dict):
     import numpy as np
 
     i0 = payload["I0"]
@@ -231,7 +228,7 @@ def _h_corollary_check(payload: dict, ctx: dict):
     return _report_out(report)
 
 
-def _h_carac_check(payload: dict, ctx: dict):
+def _h_carac_check(payload: dict):
     po = payload["params"]
     params = critmod.CaracParams(
         m=int(po["m"]), tau=float(po["tau"]), N=int(po["N"]), eps=float(po["eps"]),
@@ -245,13 +242,13 @@ def _h_carac_check(payload: dict, ctx: dict):
     return _report_out(report)
 
 
-def _h_witness_build(payload: dict, ctx: dict):
+def _h_witness_build(payload: dict):
     cfg = witmod.WitnessConfig.from_json_dict(payload["config"])
     w = witmod.build_witness(cfg)
     return True, w.to_json_dict(include_coeffs=bool(payload.get("include_coeffs", True))), None
 
 
-def _h_witness_eval(payload: dict, ctx: dict):
+def _h_witness_eval(payload: dict):
     cfg = witmod.WitnessConfig.from_json_dict(payload["config"])
     w = witmod.build_witness(cfg)
     lam = [float(a) for a in payload["lambda"]]
@@ -275,15 +272,14 @@ def _h_witness_eval(payload: dict, ctx: dict):
     return passed, obj, None
 
 
-def _h_witness_sweep(payload: dict, ctx: dict):
+def _h_witness_sweep(payload: dict):
     cfg = witmod.WitnessConfig.from_json_dict(payload["config"])
     rows = witmod.sweep_sigma(cfg, [int(b) for b in payload["bases"]],
-                              grid_per_axis=int(payload.get("grid_per_axis", 3)),
-                              workers=ctx["threads"])
+                              grid_per_axis=int(payload.get("grid_per_axis", 3)))
     return True, {"rows": rows}, (witmod.SWEEP_COLUMNS, rows)
 
 
-def _h_orbit_probe(payload: dict, ctx: dict):
+def _h_orbit_probe(payload: dict):
     results = orbit_probe(
         fams=_parse_families(payload["families"]),
         lam=[float(a) for a in payload["lambda"]],
@@ -343,11 +339,8 @@ def run(job: dict) -> int:
         if fmt not in ("json", "csv"):
             raise ConfigError(f"unknown output format {fmt!r}")
         seed = int(job.get("seed", 0))
-        threads = int(job.get("threads") or os.environ.get("SHIFTLAB_THREADS")
-                      or os.cpu_count() or 1)
         _validate_payload(command, payload)
-        ctx = {"seed": seed, "threads": threads}
-        passed, report, csv_data = _HANDLERS[command](payload, ctx)
+        passed, report, csv_data = _HANDLERS[command](payload)
     except (ConfigError, ValueError, KeyError, TypeError, OverflowError,
             CoveringInfeasibleError, witmod.BruteForceBudgetError,
             json.JSONDecodeError) as e:
@@ -369,7 +362,12 @@ def run(job: dict) -> int:
 
     path = output.get("path")
     if path:
-        with open(path, "w") as f:
+        try:
+            f = open(path, "w")
+        except OSError as e:
+            print(f"shiftlab: config error: {e}", file=sys.stderr)
+            return 2
+        with f:
             f.write(text)
     else:
         try:
@@ -402,9 +400,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="parameters JSON file (merged into the payload)")
         sp.add_argument("--out", help="output path (default: stdout)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker pool size (default: SHIFTLAB_THREADS or cores)")
+        sp.add_argument("--seed", type=int, default=0,
+                        help="echoed into meta.seed (nothing is random)")
     args = parser.parse_args(argv)
 
     try:
@@ -425,7 +422,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "payload": payload,
         "output": {"format": args.format, "path": args.out},
         "seed": args.seed,
-        "threads": args.threads,
     }
     return run(job)
 

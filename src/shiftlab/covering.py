@@ -15,9 +15,10 @@ provided:
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -315,13 +316,8 @@ def build_log_covering(p: LogCoveringParams, q_override: Optional[int] = None) -
     b = max(hi for _, hi in p.box)
     side = (b - a) / g if g > 0 else 0.0
     cells = []
-    for j in range(1, q + 1):
-        # row-major: last axis varies fastest
-        rem = j - 1
-        idx = [0] * d
-        for ax in range(d - 1, -1, -1):
-            idx[ax] = rem % g
-            rem //= g
+    # row-major: last axis varies fastest
+    for j, idx in enumerate(itertools.product(range(g), repeat=d), start=1):
         box = tuple((a + i * side, a + (i + 1) * side) for i in idx)
         anchor = tuple((lo + hi) / 2.0 for lo, hi in box)
         cells.append(Cell(n=log_covering_power(p, j), anchor=anchor, box=box))
@@ -332,12 +328,14 @@ def build_log_covering(p: LogCoveringParams, q_override: Optional[int] = None) -
 
 
 @dataclass
-class PropertyReport:
-    """Outcome of one checked property.
+class CheckResult:
+    """Outcome of one checked condition or covering property.
 
     ``sense`` says which side of the bound passes: 'ceiling' needs
     achieved <= bound, 'floor' needs achieved >= bound.  ``margin`` is the
     slack toward the bound and is nonnegative exactly when the check passes.
+    ``evaluations`` counts the points a checker sampled; it is written only
+    when set.
     """
 
     passed: bool
@@ -345,6 +343,7 @@ class PropertyReport:
     bound: float
     sense: str = "ceiling"
     witness: Optional[dict] = None
+    evaluations: Optional[int] = None
     note: str = ""
 
     @property
@@ -356,6 +355,8 @@ class PropertyReport:
     def to_json_dict(self) -> dict:
         out = {"pass": bool(self.passed), "achieved": self.achieved,
                "bound": self.bound, "margin": self.margin, "sense": self.sense}
+        if self.evaluations is not None:
+            out["evaluations"] = self.evaluations
         if self.witness is not None:
             out["witness"] = self.witness
         if self.note:
@@ -364,16 +365,36 @@ class PropertyReport:
 
 
 @dataclass
-class GradedReport:
-    properties: dict
-    overall: bool
+class CriterionReport:
+    """Named check results plus metadata; it passes when every result passes.
+
+    ``section`` is the JSON key holding the results ('properties' for the
+    graded-covering verifier).
+    """
+
+    conditions: Dict[str, CheckResult]
+    meta: dict = field(default_factory=dict)
+    section: str = "conditions"
+
+    @property
+    def overall(self) -> bool:
+        return all(c.passed for c in self.conditions.values())
 
     def to_json_dict(self) -> dict:
-        return {"pass": bool(self.overall),
-                "properties": {k: v.to_json_dict() for k, v in self.properties.items()}}
+        return {
+            "pass": bool(self.overall),
+            self.section: {k: v.to_json_dict() for k, v in self.conditions.items()},
+            "meta": self.meta,
+        }
+
+    def rows(self) -> List[dict]:
+        """Flat per-condition rows for CSV export."""
+        return [{"condition": name, "pass": c.passed, "achieved": c.achieved,
+                 "bound": c.bound, "margin": c.margin, "evaluations": c.evaluations}
+                for name, c in self.conditions.items()]
 
 
-def verify_graded(cov: Covering, K, p: GradedParams) -> GradedReport:
+def verify_graded(cov: Covering, K, p: GradedParams) -> CriterionReport:
     """Check the five graded-covering properties; always returns a report.
 
     (a) spacing: n_0 >= N and consecutive gaps >= N.
@@ -391,8 +412,8 @@ def verify_graded(cov: Covering, K, p: GradedParams) -> GradedReport:
 
     gaps = np.diff(ns)
     ach_a = float(min(ns[0], gaps.min())) if q > 1 else float(ns[0])
-    props["a"] = PropertyReport(ach_a >= p.N, ach_a, float(p.N), sense="floor",
-                                note="min of n_0 and consecutive gaps")
+    props["a"] = CheckResult(ach_a >= p.N, ach_a, float(p.N), sense="floor",
+                             note="min of n_0 and consecutive gaps")
 
     # (b) containment in the anchor square
     worst_slack = math.inf
@@ -405,12 +426,12 @@ def verify_graded(cov: Covering, K, p: GradedParams) -> GradedReport:
             s = min(lo_slack, hi_slack)
             if s < worst_slack:
                 worst_slack, worst_cell = s, j
-    props["b_containment"] = PropertyReport(
+    props["b_containment"] = CheckResult(
         worst_slack >= 0.0, -worst_slack, 0.0, witness={"cell": worst_cell},
         note="achieved is the worst containment violation; negative means slack")
 
     covered, missing_pt, miss_count = box_union_covers([c.box for c in cov.cells], K)
-    props["b_cover"] = PropertyReport(
+    props["b_cover"] = CheckResult(
         covered, float(miss_count), 0.0,
         witness=None if covered else {"uncovered_point": list(missing_pt)},
         note="achieved value counts uncovered elementary cells")
@@ -422,14 +443,14 @@ def verify_graded(cov: Covering, K, p: GradedParams) -> GradedReport:
         bound = p.D * (ns[ll] - ns[jj]) ** p.alpha / ns[ll] ** p.alpha
         gap_c = bound - dist[jj, ll]
         w = int(np.argmin(gap_c))
-        props["c"] = PropertyReport(
+        props["c"] = CheckResult(
             bool(gap_c[w] >= 0.0), float(dist[jj[w], ll[w]]), float(bound[w]),
             witness={"pair": [int(jj[w]), int(ll[w])]})
     else:
-        props["c"] = PropertyReport(True, 0.0, math.inf, note="vacuous for a single cell")
+        props["c"] = CheckResult(True, 0.0, math.inf, note="vacuous for a single cell")
 
     ach_d = math.fsum(1.0 / c.n**p.beta for c in cov.cells)
-    props["d"] = PropertyReport(ach_d <= p.eta, ach_d, p.eta)
+    props["d"] = CheckResult(ach_d <= p.eta, ach_d, p.eta)
 
     if q > 1:
         diff = np.abs(ns[:, None] - ns[None, :])
@@ -437,31 +458,20 @@ def verify_graded(cov: Covering, K, p: GradedParams) -> GradedReport:
         row_sums = (diff**-p.beta).sum(axis=1)
         worst_j = int(np.argmax(row_sums))
         worst_e = float(row_sums[worst_j])
-        props["e"] = PropertyReport(worst_e <= p.eta, worst_e, p.eta, witness={"cell": worst_j})
+        props["e"] = CheckResult(worst_e <= p.eta, worst_e, p.eta, witness={"cell": worst_j})
     else:
-        props["e"] = PropertyReport(True, 0.0, p.eta, note="vacuous for a single cell")
+        props["e"] = CheckResult(True, 0.0, p.eta, note="vacuous for a single cell")
 
-    overall = all(r.passed for r in props.values())
-    return GradedReport(properties=props, overall=overall)
+    return CriterionReport(conditions=props, section="properties")
 
 
 def _grid_cells(K: Box, g: int, schedule: Sequence[int]) -> Tuple[Cell, ...]:
-    d = len(K)
+    # row-major g x ... x g grid over K, anchors at the lower corners
+    sides = [(hi - lo) / g for lo, hi in K]
     cells = []
-    for j, n in enumerate(schedule):
-        rem = j
-        idx = [0] * d
-        for ax in range(d - 1, -1, -1):
-            idx[ax] = rem % g
-            rem //= g
-        box = []
-        anchor = []
-        for ax in range(d):
-            lo, hi = K[ax]
-            side = (hi - lo) / g
-            box.append((lo + idx[ax] * side, lo + (idx[ax] + 1) * side))
-            anchor.append(lo + idx[ax] * side)
-        cells.append(Cell(n=int(n), anchor=tuple(anchor), box=tuple(box)))
+    for n, idx in zip(schedule, itertools.product(range(g), repeat=len(K))):
+        box = tuple((lo + i * s, lo + (i + 1) * s) for (lo, _), i, s in zip(K, idx, sides))
+        cells.append(Cell(n=int(n), anchor=tuple(lo for lo, _ in box), box=box))
     return tuple(cells)
 
 

@@ -19,81 +19,29 @@ Large cumulative products are compared in log domain throughout.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .covering import Covering, box_union_covers, as_box
+from .covering import CheckResult, Covering, CriterionReport, box_union_covers, as_box
 from .lognum import logsumexp
 from .seqspace import L1, ProductKind, SeqVec, SpaceNorm, cw_root, norm
 from .weights import (
     LipschitzProfile,
     WeightFamily,
+    _max_slope,
     lipschitz_ratio_profile,
+    log_cum_prefix,
     log_cum_window,
     log_cum_windows,
     log_weight,
 )
 
 _MAX_PAIR_GRID = 50_000_000  # guard for the (n, k) product in the tail displays
-
-
-@dataclass
-class ConditionResult:
-    name: str
-    passed: bool
-    achieved: float
-    bound: float
-    sense: str = "ceiling"  # ceiling: achieved <= bound; floor: achieved >= bound
-    witness: Optional[dict] = None
-    evaluations: int = 0
-    note: str = ""
-
-    @property
-    def margin(self) -> float:
-        if self.sense == "floor":
-            return self.achieved - self.bound
-        return self.bound - self.achieved
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "pass": bool(self.passed), "achieved": self.achieved, "bound": self.bound,
-            "margin": self.margin, "sense": self.sense, "evaluations": self.evaluations,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.note:
-            out["note"] = self.note
-        return out
-
-
-@dataclass
-class CriterionReport:
-    conditions: Dict[str, ConditionResult]
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def overall(self) -> bool:
-        return all(c.passed for c in self.conditions.values())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pass": bool(self.overall),
-            "conditions": {k: v.to_json_dict() for k, v in self.conditions.items()},
-            "meta": self.meta,
-        }
-
-    def rows(self) -> List[dict]:
-        """Flat per-condition rows for CSV export."""
-        out = []
-        for name, c in self.conditions.items():
-            out.append({
-                "condition": name, "pass": c.passed, "achieved": c.achieved,
-                "bound": c.bound, "margin": c.margin, "evaluations": c.evaluations,
-            })
-        return out
 
 
 def _require_fnorm_bullets(space_norm: SpaceNorm):
@@ -138,11 +86,8 @@ def _cell_samples(cell, samples_per_axis: int) -> List[Tuple[float, ...]]:
         raise ValueError("samples_per_axis must be >= 1")
     if samples_per_axis == 1:
         return [tuple(cell.anchor)]
-    axes = [np.linspace(lo, hi, samples_per_axis) for lo, hi in cell.box]
-    pts = [()]
-    for ax in axes:
-        pts = [p + (float(a),) for p in pts for a in ax]
-    return pts
+    return list(itertools.product(
+        *(np.linspace(lo, hi, samples_per_axis).tolist() for lo, hi in cell.box)))
 
 
 def check_basic_criterion(
@@ -199,16 +144,16 @@ def check_basic_criterion(
             rows.append(coeffs * np.exp(-w / m_lo))
         A.append(rows)
 
-    conds: Dict[str, ConditionResult] = {}
+    conds: Dict[str, CheckResult] = {}
 
     if region is None:
-        conds["I"] = ConditionResult(
-            "I", True, 0.0, 0.0, evaluations=0,
+        conds["I"] = CheckResult(
+            True, 0.0, 0.0, evaluations=0,
             note="delegated to the covering union check; no region supplied")
     else:
         covered, missing, count = box_union_covers([c.box for c in cov.cells], as_box(region))
-        conds["I"] = ConditionResult(
-            "I", covered, float(count), 0.0, evaluations=1,
+        conds["I"] = CheckResult(
+            covered, float(count), 0.0, evaluations=1,
             witness=None if covered else {"uncovered_point": list(missing)})
 
     # II.a -- the lambda-independent forward sum
@@ -220,12 +165,12 @@ def check_basic_criterion(
                 k = l + powers[j]
                 entries[k] = entries.get(k, 0.0) + float(A[ax][j][idx])
         total += norm(SeqVec(entries), space_norm)
-    conds["II.a"] = ConditionResult("II.a", total <= eps, total, eps, evaluations=1)
+    conds["II.a"] = CheckResult(total <= eps, total, eps, evaluations=1)
 
     worst = {
-        "II.b": ConditionResult("II.b", True, 0.0, eps),
-        "III": ConditionResult("III", True, 0.0, eps),
-        "IV": ConditionResult("IV", True, 0.0, eps),
+        "II.b": CheckResult(True, 0.0, eps, evaluations=0),
+        "III": CheckResult(True, 0.0, eps, evaluations=0),
+        "IV": CheckResult(True, 0.0, eps, evaluations=0),
     }
 
     ms = list(range(m_lo, m_hi + 1))
@@ -379,21 +324,21 @@ def check_unif_hypotheses(
     ks = np.arange(p.N0, p.k_max + 1, dtype=np.int64)
     if len(ns) * len(ks) > _MAX_PAIR_GRID:
         raise ValueError("n_max*k_max grid too large; lower the evaluation bounds")
-    conds: Dict[str, ConditionResult] = {}
+    conds: Dict[str, CheckResult] = {}
 
     ratios = lipschitz_ratio_profile(fam, grid, ns)
     fn = np.asarray(p.F(ns), dtype=np.float64)
     diff = ratios - fn
     w = int(np.argmax(diff))
-    conds["i"] = ConditionResult(
-        "i", bool(diff[w] <= 0.0), float(ratios[w]), float(fn[w]),
+    conds["i"] = CheckResult(
+        bool(diff[w] <= 0.0), float(ratios[w]), float(fn[w]),
         witness={"n": int(ns[w])}, evaluations=len(ns))
 
     # (ii) divergence probe: smallest cumulative product at k_max over the grid
     fk_last = np.asarray([log_cum_window(fam, a, 0, p.k_max) for a in grid])
     w = int(np.argmin(fk_last))
-    conds["ii"] = ConditionResult(
-        "ii", bool(fk_last[w] >= math.log(p.divergence_threshold)),
+    conds["ii"] = CheckResult(
+        bool(fk_last[w] >= math.log(p.divergence_threshold)),
         float(fk_last[w]), math.log(p.divergence_threshold), sense="floor",
         witness={"a": float(grid[w]), "k": p.k_max}, evaluations=len(grid),
         note="probe, not proof: log of the cumulative product at k_max")
@@ -432,12 +377,12 @@ def check_unif_hypotheses(
                               "log_margin_growth": float(m1_table[i, j]),
                               "log_margin_root": float(m2_table[j])})
 
-    conds["iii.growth"] = ConditionResult(
-        "iii.growth", worst1[0] <= 0.0, worst1[0], 0.0, witness=worst1[1],
+    conds["iii.growth"] = CheckResult(
+        worst1[0] <= 0.0, worst1[0], 0.0, witness=worst1[1],
         evaluations=len(grid) * len(ns) * len(ks),
         note="log-domain margin of the growth display against M0/k**beta")
-    conds["iii.root"] = ConditionResult(
-        "iii.root", worst2[0] <= 0.0, worst2[0], 0.0, witness=worst2[1],
+    conds["iii.root"] = CheckResult(
+        worst2[0] <= 0.0, worst2[0], 0.0, witness=worst2[1],
         evaluations=len(grid) * len(ks),
         note="log-domain margin of the 1/m'-root display against M0/k**beta")
 
@@ -498,22 +443,21 @@ def check_corollary_hypotheses(
     else:
         raise ValueError(f"variant must be 1 or 2, got {variant}")
 
-    ratios = lipschitz_ratio_profile(fam, grid, ns)
+    # one prefix per grid point serves both bullets
+    logs = [log_cum_prefix(fam, a, n_max)[N:] for a in grid]
+    ratios = _max_slope(grid, logs)
     diff = ratios - lip_bound
     w = int(np.argmax(diff))
-    lip = ConditionResult(
-        "lipschitz", bool(diff[w] <= 0.0), float(ratios[w]), float(lip_bound[w]),
+    lip = CheckResult(
+        bool(diff[w] <= 0.0), float(ratios[w]), float(lip_bound[w]),
         witness={"n": int(ns[w])}, evaluations=len(ns))
 
     # growth floor: min over the grid of the log cumulative product
-    fmin = None
-    for a in grid:
-        fa = log_cum_windows(fam, a, np.zeros(len(ns), dtype=np.int64), ns)
-        fmin = fa if fmin is None else np.minimum(fmin, fa)
+    fmin = functools.reduce(np.minimum, logs)
     gdiff = fmin - growth_floor
     w = int(np.argmin(gdiff))
-    grw = ConditionResult(
-        "growth", bool(gdiff[w] >= 0.0), float(fmin[w]), float(growth_floor[w]),
+    grw = CheckResult(
+        bool(gdiff[w] >= 0.0), float(fmin[w]), float(growth_floor[w]),
         sense="floor", witness={"n": int(ns[w])}, evaluations=len(grid) * len(ns),
         note="log of the cumulative product against the log of the floor")
 
@@ -578,11 +522,11 @@ def check_carac_conditions(
     ns = [n for n, _ in sched]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("schedule powers must be strictly increasing")
-    conds: Dict[str, ConditionResult] = {}
+    conds: Dict[str, CheckResult] = {}
 
     gaps_min = min([ns[0]] + [b - a for a, b in zip(ns, ns[1:])])
-    conds["0"] = ConditionResult(
-        "0", gaps_min >= p.N, float(gaps_min), float(p.N), sense="floor",
+    conds["0"] = CheckResult(
+        gaps_min >= p.N, float(gaps_min), float(p.N), sense="floor", evaluations=0,
         note="n_1 and consecutive gaps must reach the spacing floor N")
 
     # (i) box cover of K by the backward tau/F(n_k) boxes
@@ -591,8 +535,8 @@ def check_carac_conditions(
         r = p.tau / float(p.F(n_k))
         boxes.append(tuple((lam[ax] - r, lam[ax]) for ax in range(d)))
     covered, missing, count = box_union_covers(boxes, p.K)
-    conds["i"] = ConditionResult(
-        "i", covered, float(count), 0.0,
+    conds["i"] = CheckResult(
+        covered, float(count), 0.0, evaluations=0,
         witness=None if covered else {"uncovered_point": list(missing)})
 
     # (ii) per axis: || sum_k what_{n_k}(lambda_k(i))^{-1/m} e_{n_k} || < eps
@@ -602,8 +546,8 @@ def check_carac_conditions(
         val = _norm_from_logcoeffs(logcs, p.space_norm)
         if val > worst_ii[0]:
             worst_ii = (val, {"axis": ax})
-    conds["ii"] = ConditionResult(
-        "ii", worst_ii[0] < p.eps, worst_ii[0], p.eps, witness=worst_ii[1],
+    conds["ii"] = CheckResult(
+        worst_ii[0] < p.eps, worst_ii[0], p.eps, witness=worst_ii[1],
         evaluations=d * q)
 
     # (iii) tail sums over j > k for every (k, axis, l).  The denominator
@@ -631,8 +575,8 @@ def check_carac_conditions(
                     worst_iii = (val, {"k": k, "axis": ax, "l": l})
     if worst_iii[0] == -math.inf:
         worst_iii = (0.0, None)
-    conds["iii"] = ConditionResult(
-        "iii", worst_iii[0] < p.eps, worst_iii[0], p.eps, witness=worst_iii[1],
+    conds["iii"] = CheckResult(
+        worst_iii[0] < p.eps, worst_iii[0], p.eps, witness=worst_iii[1],
         evaluations=evals)
 
     # hypothesis probe: Lipschitz sandwich and weight-ratio floor on K's grid
@@ -644,7 +588,7 @@ def check_carac_conditions(
     return CriterionReport(conditions=conds, meta=meta)
 
 
-def _carac_hypothesis_probe(fams, sched, p: CaracParams) -> ConditionResult:
+def _carac_hypothesis_probe(fams, sched, p: CaracParams) -> CheckResult:
     worst = math.inf
     witness = None
     checked = 0
@@ -667,6 +611,6 @@ def _carac_hypothesis_probe(fams, sched, p: CaracParams) -> ConditionResult:
                     if m < worst:
                         worst = m
                         witness = {"axis": ax, "n": n_k, "a": a, "b": b}
-    return ConditionResult(
-        "H", worst >= 0.0, -worst, 0.0, witness=witness, evaluations=checked,
+    return CheckResult(
+        worst >= 0.0, -worst, 0.0, witness=witness, evaluations=checked,
         note="hypothesis probe: Lipschitz sandwich and weight-ratio floor on K's grid")

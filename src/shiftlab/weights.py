@@ -29,6 +29,7 @@ Families:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -382,12 +383,14 @@ def lipschitz_ratio_profile(
         raise ValueError("need at least 2 distinct grid points")
     n_values = np.asarray(n_values, dtype=np.int64)
     upto = int(n_values.max(initial=0))
-    prefixes = [log_cum_prefix(fam, a, upto) for a in pts]
-    best = np.zeros(len(n_values))
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            q = np.abs(prefixes[j][n_values] - prefixes[i][n_values]) / (pts[j] - pts[i])
-            np.maximum(best, q, out=best)
+    return _max_slope(pts, [log_cum_prefix(fam, a, upto)[n_values] for a in pts])
+
+
+def _max_slope(pts: Sequence[float], vals: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise max over pairs i < j of |vals[j] - vals[i]| / (pts[j] - pts[i])."""
+    best = np.zeros(len(vals[0]))
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        np.maximum(best, np.abs(vals[j] - vals[i]) / (pts[j] - pts[i]), out=best)
     return best
 
 

@@ -16,8 +16,8 @@ as sigma grows.
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -429,34 +429,29 @@ def eval_bruteforce(w: Witness, cfg: WitnessConfig, lam: Sequence[float], N: int
 
 
 def _lambda_grid(box, per_axis: int) -> List[Tuple[float, ...]]:
-    axes = []
-    for lo, hi in box:
-        if per_axis == 1:
-            axes.append([(lo + hi) / 2.0])
-        else:
-            step = (hi - lo) / (per_axis - 1)
-            axes.append([lo + k * step for k in range(per_axis)])
-    pts = [()]
-    for ax in axes:
-        pts = [q + (float(a),) for q in pts for a in ax]
-    return pts
+    if per_axis == 1:
+        return [tuple((lo + hi) / 2.0 for lo, hi in box)]
+    steps = [(hi - lo) / (per_axis - 1) for lo, hi in box]
+    return list(itertools.product(
+        *([lo + k * step for k in range(per_axis)] for (lo, _), step in zip(box, steps))))
 
 
 def sweep_sigma(cfg_template: WitnessConfig, bases: Sequence[int],
-                grid_per_axis: int = 3, workers: int = 1) -> List[dict]:
+                grid_per_axis: int = 3) -> List[dict]:
     """Witness error table over increasing sigma = base**m.
 
     For each base a fresh covering and witness are built and evaluated on a
     lambda grid over the parameter box with the analytic path; rows carry the
     worst error components, the all-points separation flag and the predicted
-    decay exponent of the later-cell tail for comparison.
+    decay exponent of the later-cell tail for comparison.  Rows are computed
+    one after another: the work holds the GIL, so threads would not help.
     """
     bases = [int(b) for b in bases]
     if any(b2 <= b1 for b1, b2 in zip(bases, bases[1:])):
         raise ValueError("bases must be strictly increasing")
     lam_min = min(lo for lo, _ in cfg_template.log_cov.box)
-
-    def one(base: int) -> dict:
+    rows = []
+    for base in bases:
         cfg = replace(cfg_template,
                       log_cov=replace(cfg_template.log_cov, base=base),
                       cov_override=None)
@@ -465,7 +460,7 @@ def sweep_sigma(cfg_template: WitnessConfig, bases: Sequence[int],
         w = build_witness(cfg, on_collision="merge")
         evals = [eval_analytic(w, cfg, lam)
                  for lam in _lambda_grid(cfg.log_cov.box, grid_per_axis)]
-        return {
+        rows.append({
             "sigma": cfg.sigma,
             "q": w.q,
             "N_1": w.powers[0],
@@ -476,9 +471,5 @@ def sweep_sigma(cfg_template: WitnessConfig, bases: Sequence[int],
             "p3_worst": max(math.fsum(e.p3_norm) for e in evals),
             "premature_max": max(e.premature_max for e in evals),
             "predicted_p2_slope": -w.cprime * lam_min,
-        }
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, bases))
-    return [one(b) for b in bases]
+        })
+    return rows

@@ -236,10 +236,10 @@ def test_criterion_6_covering_round_trip():
         base = dict(alpha=0.3, beta=1.0, D=100.0, tau=1000.0, N=1, d=2)
         rep = verify_graded(cov, K, GradedParams(eta=0.01, **base))
         oracle = math.fsum([1 / 100, 1 / 200, 1 / 400, 1 / 800])
-        assert rep.properties["d"].achieved == oracle
-        assert rep.properties["d"].achieved == pytest.approx(0.01875, rel=1e-15)
-        assert not rep.properties["d"].passed
-        assert verify_graded(cov, K, GradedParams(eta=0.02, **base)).properties["d"].passed
+        assert rep.conditions["d"].achieved == oracle
+        assert rep.conditions["d"].achieved == pytest.approx(0.01875, rel=1e-15)
+        assert not rep.conditions["d"].passed
+        assert verify_graded(cov, K, GradedParams(eta=0.02, **base)).conditions["d"].passed
 
 
 def test_criterion_7_log_covering_arithmetic():

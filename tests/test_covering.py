@@ -151,7 +151,7 @@ class TestGradedSingleCell:
         assert cov.cells[0].n == 10
         rep = verify_graded(cov, K, p)
         assert rep.overall
-        assert rep.properties["c"].passed and rep.properties["e"].passed
+        assert rep.conditions["c"].passed and rep.conditions["e"].passed
 
     def test_diam_precondition(self):
         p = GradedParams(alpha=0.3, beta=0.7, D=1.0, tau=1.0, eta=0.5, N=10, d=2)
@@ -177,10 +177,10 @@ class TestVerifier:
         base = dict(alpha=0.3, beta=1.0, D=100.0, tau=1000.0, N=1, d=2)
         rep = verify_graded(cov, K, GradedParams(eta=0.01, **base))
         expected = math.fsum([1 / 100, 1 / 200, 1 / 400, 1 / 800])
-        assert rep.properties["d"].achieved == expected
-        assert rep.properties["d"].achieved == pytest.approx(0.01875, rel=1e-15)
-        assert not rep.properties["d"].passed
-        assert verify_graded(cov, K, GradedParams(eta=0.02, **base)).properties["d"].passed
+        assert rep.conditions["d"].achieved == expected
+        assert rep.conditions["d"].achieved == pytest.approx(0.01875, rel=1e-15)
+        assert not rep.conditions["d"].passed
+        assert verify_graded(cov, K, GradedParams(eta=0.02, **base)).conditions["d"].passed
 
     def test_spacing_violation_detected(self):
         cells = (Cell(n=5, anchor=(0.0,), box=((0.0, 1.0),)),
@@ -188,8 +188,8 @@ class TestVerifier:
         cov = Covering(cells=cells)
         p = GradedParams(alpha=0.3, beta=0.7, D=100.0, tau=100.0, eta=10.0, N=4, d=1)
         rep = verify_graded(cov, ((0.0, 1.0),), p)
-        assert not rep.properties["a"].passed
-        assert rep.properties["a"].achieved == 2.0  # the gap 7 - 5
+        assert not rep.conditions["a"].passed
+        assert rep.conditions["a"].achieved == 2.0  # the gap 7 - 5
 
     def test_proximity_checked_on_corners(self):
         # two unit boxes 10 apart: sup distance 11, bound tiny -> (c) fails
@@ -198,7 +198,7 @@ class TestVerifier:
         cov = Covering(cells=cells)
         p = GradedParams(alpha=0.4, beta=0.9, D=1.0, tau=1000.0, eta=10.0, N=10, d=1)
         rep = verify_graded(cov, ((0.0, 11.0),), p)
-        c = rep.properties["c"]
+        c = rep.conditions["c"]
         assert not c.passed
         assert c.achieved == pytest.approx(11.0)  # corner-exact sup distance
         assert c.bound == pytest.approx(1.0 * (100 / 200) ** 0.4)
@@ -209,8 +209,8 @@ class TestVerifier:
         cov = Covering(cells=cells)
         p = GradedParams(alpha=0.3, beta=0.7, D=100.0, tau=100.0, eta=10.0, N=5, d=1)
         rep = verify_graded(cov, ((0.0, 1.0),), p)
-        assert not rep.properties["b_cover"].passed
-        pt = rep.properties["b_cover"].witness["uncovered_point"][0]
+        assert not rep.conditions["b_cover"].passed
+        pt = rep.conditions["b_cover"].witness["uncovered_point"][0]
         assert 0.4 < pt < 0.6
 
     def test_constructed_covering_roundtrip(self):
@@ -309,5 +309,5 @@ class TestMarginSignConsistency:
                 q = GradedParams(alpha=p.alpha, beta=p.beta, D=p.D, tau=p.tau,
                                  eta=eta, N=p.N, d=2)
                 rep = verify_graded(cov, K, q)
-                for name, prop in rep.properties.items():
+                for name, prop in rep.conditions.items():
                     assert prop.passed == (prop.margin >= 0.0), name

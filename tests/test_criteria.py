@@ -2,11 +2,12 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shiftlab import criteria
+from shiftlab import criteria, weights
 from shiftlab.covering import GradedParams, build_graded_covering
 from shiftlab.criteria import (
     CaracParams,
@@ -22,6 +23,7 @@ from shiftlab.weights import LipschitzProfile, WeightFamily
 AFF0 = WeightFamily.affine(0.0)
 PP = WeightFamily.pure_power()
 GEO = WeightFamily.geometric()
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
 def single_cell_cov():
@@ -197,6 +199,25 @@ class TestCorollaryHypotheses:
         with pytest.raises(ValueError, match="variant"):
             check_corollary_hypotheses(PP, self.GRID_12, 3,
                                        {"D1": 1.0, "D2": 1.0}, 5, 100)
+
+    def test_one_prefix_per_grid_point(self, monkeypatch):
+        # the shipped example: 9 grid points, each prefix serves both bullets
+        ex = json.loads((EXAMPLES / "corollary_check.json").read_text())
+        grid = np.linspace(ex["I0"]["lo"], ex["I0"]["hi"], ex["I0"]["points"]).tolist()
+        calls = []
+        prefix = weights.log_cum_prefix
+
+        def counted(fam, lam, upto):
+            calls.append(lam)
+            return prefix(fam, lam, upto)
+
+        monkeypatch.setattr(weights, "log_cum_prefix", counted)
+        monkeypatch.setattr(criteria, "log_cum_prefix", counted)
+        rep = check_corollary_hypotheses(
+            WeightFamily.from_json_dict(ex["family"]), grid, ex["variant"],
+            ex["constants"], ex["N"], ex["n_max"])
+        assert rep.overall
+        assert sorted(calls) == grid
 
 
 class TestCaracConditions:

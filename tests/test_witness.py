@@ -279,13 +279,6 @@ class TestSweep:
         with pytest.raises(ValueError, match="increasing"):
             sweep_sigma(cfg, [256, 128])
 
-    def test_worker_pool_matches_serial(self):
-        p = LogCoveringParams(box=BOX, m=2, r=1, base=128)
-        cfg = WitnessConfig(log_cov=p, u=zero_pair(), v=(basis(0), basis(0)), eta=0.05)
-        serial = sweep_sigma(cfg, [128, 256], grid_per_axis=2, workers=1)
-        parallel = sweep_sigma(cfg, [128, 256], grid_per_axis=2, workers=4)
-        assert serial == parallel
-
     def test_predicted_slope_column(self):
         cfg = override_config()
         rows = sweep_sigma(replace(cfg, cov_override=None), [100], grid_per_axis=2)
