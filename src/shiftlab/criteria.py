@@ -29,12 +29,11 @@ import numpy as np
 
 from .covering import CheckResult, Covering, CriterionReport, box_union_covers, as_box
 from .lognum import logsumexp
-from .seqspace import L1, ProductKind, SeqVec, SpaceNorm, cw_root, norm
+from .seqspace import _TINY, L1, ProductKind, SeqVec, SpaceNorm, _norm, cw_root, norm
 from .weights import (
     LipschitzProfile,
     WeightFamily,
     _max_slope,
-    lipschitz_ratio_profile,
     log_cum_prefix,
     log_cum_window,
     log_cum_windows,
@@ -61,6 +60,13 @@ def _require_fnorm_bullets(space_norm: SpaceNorm):
             raise ValueError(f"norm violates the (|c|+1) scaling bullet at c = {c}")
     if norm(1e-200 * probe, space_norm) > 1e-150:
         raise ValueError("norm does not scale to zero with the scalar")
+
+
+def _canonical(c: np.ndarray) -> np.ndarray:
+    """Coefficients as a SeqVec stores them: |c| below the least normal is 0."""
+    if not np.isfinite(c).all():
+        raise ValueError("non-finite coefficient in a criterion display")
+    return np.where(np.abs(c) < _TINY, 0.0, c)
 
 
 def _norm_from_logcoeffs(logcs: Sequence[float], n: SpaceNorm) -> float:
@@ -128,24 +134,29 @@ def check_basic_criterion(
                 raise ValueError(f"target vector {ax} has negative entry at index {k}")
 
     roots = [cw_root(vec, m_lo) for vec in v]
-    supp = [vec.support() for vec in roots]
-    powers = cov.powers
-    q = cov.q
-    anchors = [[cell.anchor[ax] for cell in cov.cells] for ax in range(d)]
+    ms = range(m_lo, m_hi + 1)
 
-    # forward coefficients at the anchors: A[ax][j][l] for l in supp[ax]
-    A: List[List[np.ndarray]] = []
-    for ax in range(d):
-        ls = np.asarray(supp[ax], dtype=np.int64)
-        rows = []
-        for j in range(q):
-            w = log_cum_windows(fams[ax], anchors[ax][j], ls, np.full(ls.shape, powers[j]))
-            coeffs = np.asarray([roots[ax].coeff(int(l)) for l in ls])
-            rows.append(coeffs * np.exp(-w / m_lo))
-        A.append(rows)
+    # Flat per-axis arrays over the (cell j, support index l) pairs, j-major:
+    # l, n_j, the target at l and the powers A**m of the forward coefficients
+    # A = root_l * exp(-window(anchor_j, l, n_j)/m_lo).  Powers use Python's
+    # float pow and the windows below math.exp, as the sparse operators do;
+    # np.power and np.exp can differ from them in the last bit.
+    flat = []
+    total = 0.0  # II.a: the lambda-independent forward sum
+    for ax, root in enumerate(roots):
+        supp = np.asarray(root.support(), dtype=np.int64)
+        coeffs = np.asarray([root.coeff(int(l)) for l in supp])
+        A = np.concatenate([coeffs * np.exp(-log_cum_windows(
+            fams[ax], cell.anchor[ax], supp, np.full(supp.shape, cell.n)) / m_lo)
+            for cell in cov.cells])
+        ls, ns = np.tile(supp, cov.q), np.repeat(cov.powers, len(supp))
+        # bincount adds colliding indices in (j, l) order, as dict updates do
+        _, inv = np.unique(ls + ns, return_inverse=True)
+        total += _norm(_canonical(np.bincount(inv, A)).tolist(), space_norm)
+        target = np.asarray([v[ax].coeff(int(l)) for l in supp])
+        flat.append((ls, ns, target, {m: np.asarray([a**m for a in A.tolist()]) for m in ms}))
 
     conds: Dict[str, CheckResult] = {}
-
     if region is None:
         conds["I"] = CheckResult(
             True, 0.0, 0.0, evaluations=0,
@@ -155,105 +166,54 @@ def check_basic_criterion(
         conds["I"] = CheckResult(
             covered, float(count), 0.0, evaluations=1,
             witness=None if covered else {"uncovered_point": list(missing)})
-
-    # II.a -- the lambda-independent forward sum
-    total = 0.0
-    for ax in range(d):
-        entries: Dict[int, float] = {}
-        for j in range(q):
-            for idx, l in enumerate(supp[ax]):
-                k = l + powers[j]
-                entries[k] = entries.get(k, 0.0) + float(A[ax][j][idx])
-        total += norm(SeqVec(entries), space_norm)
     conds["II.a"] = CheckResult(total <= eps, total, eps, evaluations=1)
 
-    worst = {
-        "II.b": CheckResult(True, 0.0, eps, evaluations=0),
-        "III": CheckResult(True, 0.0, eps, evaluations=0),
-        "IV": CheckResult(True, 0.0, eps, evaluations=0),
-    }
+    worst = {name: CheckResult(True, 0.0, eps, evaluations=0) for name in ("II.b", "III", "IV")}
 
-    ms = list(range(m_lo, m_hi + 1))
-    for i in range(q):
-        n_i = powers[i]
-        for lam in _cell_samples(cov.cells[i], samples_per_axis):
-            # windows of length n_i at the sampled point, per axis
-            win_tail: List[np.ndarray] = []  # for II.b: offsets l + n_j - n_i
-            win_head: List[np.ndarray] = []  # for III/IV: offsets l
-            for ax in range(d):
-                offs = []
-                for j in range(q):
-                    for l in supp[ax]:
-                        offs.append(l + powers[j] - n_i)
-                offs = np.asarray(offs, dtype=np.int64)
-                valid = offs >= 0
-                w = np.full(offs.shape, -math.inf)
-                if valid.any():
-                    w[valid] = log_cum_windows(
-                        fams[ax], lam[ax], offs[valid],
-                        np.full(int(valid.sum()), n_i))
-                win_tail.append(w.reshape(q, len(supp[ax])))
-                ls = np.asarray(supp[ax], dtype=np.int64)
-                win_head.append(log_cum_windows(
-                    fams[ax], lam[ax], ls, np.full(ls.shape, n_i)))
+    def record(name, val, witness):
+        cur = worst[name]
+        cur.evaluations += 1
+        if val > cur.achieved:
+            cur.achieved, cur.witness, cur.passed = val, witness, val <= eps
 
+    for i, cell in enumerate(cov.cells):
+        n_i = cell.n
+        # B^{n_i} moves (j, l) to l + n_j - n_i; the row j = i lands on l
+        axes = []
+        for ls, ns, target, Am in flat:
+            offs = ls + ns - n_i
+            keep = offs >= 0
+            offs, own = offs[keep], ns[keep] == n_i
+            _, inv = np.unique(offs[~own], return_inverse=True)
+            axes.append((offs, own, ~own, inv, target, {m: a[keep] for m, a in Am.items()}))
+        for lam in _cell_samples(cell, samples_per_axis):
+            # per power m, summed over the axes: II.b over the rows j != i
+            # and III (or IV for m_lo) over the row j = i
+            tail = dict.fromkeys(ms, 0.0)
+            head = dict.fromkeys(ms, 0.0)
+            for ax, (offs, own, other, inv, target, Am) in enumerate(axes):
+                w = log_cum_windows(fams[ax], lam[ax], offs, np.full(offs.shape, n_i))
+                e = np.asarray([math.exp(x) for x in w.tolist()])
+                for m in ms:
+                    c = Am[m] * e
+                    tail[m] += _norm(_canonical(np.bincount(inv, c[other])).tolist(),
+                                     space_norm)
+                    c = _canonical(c[own])
+                    if m == m_lo:
+                        c = _canonical(c - target)
+                    head[m] += _norm(c.tolist(), space_norm)
             for m in ms:
-                # II.b: sum over j != i of B^{n_i} (F^{n_j} root)^m
-                val = 0.0
-                for ax in range(d):
-                    entries = {}
-                    for j in range(q):
-                        if j == i:
-                            continue
-                        for idx, l in enumerate(supp[ax]):
-                            pos = l + powers[j] - n_i
-                            if pos < 0:
-                                continue
-                            c = float(A[ax][j][idx]) ** m * math.exp(win_tail[ax][j][idx])
-                            entries[pos] = entries.get(pos, 0.0) + c
-                    val += norm(SeqVec(entries), space_norm)
-                cur = worst["II.b"]
-                cur.evaluations += 1
-                if val > cur.achieved:
-                    cur.achieved = val
-                    cur.witness = {"cell": i, "lambda": list(lam), "m": m}
-
+                record("II.b", tail[m], {"cell": i, "lambda": list(lam), "m": m})
                 if m == m_lo:
-                    # IV: distance of B^{n_i} (F^{n_i} root)^{m_lo} to the target
-                    val = 0.0
-                    for ax in range(d):
-                        entries = {}
-                        for idx, l in enumerate(supp[ax]):
-                            entries[l] = float(A[ax][i][idx]) ** m_lo * math.exp(
-                                win_head[ax][idx])
-                        val += norm(SeqVec(entries) - v[ax], space_norm)
-                    cur = worst["IV"]
-                    cur.evaluations += 1
-                    if val > cur.achieved:
-                        cur.achieved = val
-                        cur.witness = {"cell": i, "lambda": list(lam)}
+                    record("IV", head[m], {"cell": i, "lambda": list(lam)})
                 else:
-                    # III: premature powers m in (m_lo, m_hi]
-                    val = 0.0
-                    for ax in range(d):
-                        entries = {}
-                        for idx, l in enumerate(supp[ax]):
-                            entries[l] = float(A[ax][i][idx]) ** m * math.exp(
-                                win_head[ax][idx])
-                        val += norm(SeqVec(entries), space_norm)
-                    cur = worst["III"]
-                    cur.evaluations += 1
-                    if val > cur.achieved:
-                        cur.achieved = val
-                        cur.witness = {"cell": i, "lambda": list(lam), "m": m}
+                    record("III", head[m], {"cell": i, "lambda": list(lam), "m": m})
 
-    for name in ("II.b", "III", "IV"):
-        worst[name].passed = worst[name].achieved <= eps
     if m_hi == m_lo:
         worst["III"].note = "vacuous: the power range (m_lo, m_hi] is empty"
     conds.update(worst)
 
-    meta = {"q": q, "d": d, "m_lo": m_lo, "m_hi": m_hi, "eps": eps,
+    meta = {"q": cov.q, "d": d, "m_lo": m_lo, "m_hi": m_hi, "eps": eps,
             "samples_per_axis": samples_per_axis, "norm": space_norm.to_json(),
             "sampled_sup_note": "sampled maxima are lower bounds on the true suprema"}
     return CriterionReport(conditions=conds, meta=meta)
@@ -326,7 +286,12 @@ def check_unif_hypotheses(
         raise ValueError("n_max*k_max grid too large; lower the evaluation bounds")
     conds: Dict[str, CheckResult] = {}
 
-    ratios = lipschitz_ratio_profile(fam, grid, ns)
+    # one prefix per distinct grid point serves (i) and (iii)
+    pts = sorted(set(grid.tolist()))
+    if len(pts) < 2:
+        raise ValueError("need at least 2 distinct grid points")
+    prefs = {a: log_cum_prefix(fam, a, max(p.n_max, p.k_max)) for a in pts}
+    ratios = _max_slope(pts, [prefs[a][ns] for a in pts])
     fn = np.asarray(p.F(ns), dtype=np.float64)
     diff = ratios - fn
     w = int(np.argmax(diff))
@@ -353,16 +318,16 @@ def check_unif_hypotheses(
     worst2 = (-math.inf, None)
     m1_table = None
     m2_table = None
-    for a in grid:
-        fk = log_cum_windows(fam, float(a), np.zeros(len(ks), dtype=np.int64), ks)
+    for a in grid.tolist():
+        fk = prefs[a][ks]
         m1 = (growth - fk[None, :]) - log_rhs[None, :]
         iw = np.unravel_index(int(np.argmax(m1)), m1.shape)
         if m1[iw] > worst1[0]:
-            worst1 = (float(m1[iw]), {"n": int(ns[iw[0]]), "k": int(ks[iw[1]]), "a": float(a)})
+            worst1 = (float(m1[iw]), {"n": int(ns[iw[0]]), "k": int(ks[iw[1]]), "a": a})
         m2 = (-fk / p.m_prime) - log_rhs
         jw = int(np.argmax(m2))
         if m2[jw] > worst2[0]:
-            worst2 = (float(m2[jw]), {"k": int(ks[jw]), "a": float(a)})
+            worst2 = (float(m2[jw]), {"k": int(ks[jw]), "a": a})
         if collect_table:
             m1_table = m1 if m1_table is None else np.maximum(m1_table, m1)
             m2_table = m2 if m2_table is None else np.maximum(m2_table, m2)

@@ -5,6 +5,9 @@ A sequence is stored as a map index -> coefficient with no explicit zeros
 arithmetic that would leave that range raises instead of wrapping.  Two
 products are supported: the coordinatewise product and the convolution
 (Cauchy) product.  Norms: l^p for p >= 1 (l1 is lp(1)) and the sup norm.
+For p > 1 the l^p norm is s * (sum (|c|/s)**p)**(1/p) with s the largest
+|c|, so it neither underflows nor overflows where the norm itself is a
+normal double (Blue, ACM TOMS 4(1), 1978).
 
 Coefficients below the smallest normal double (sys.float_info.min) in
 magnitude count as zero: products or powers that underflow into the
@@ -138,9 +141,6 @@ class SeqVec:
         return cls((int(k), float(c)) for k, c in obj["entries"])
 
 
-ZERO = SeqVec()
-
-
 def basis(k: int) -> SeqVec:
     """Canonical basis vector e_k."""
     _check_index(k)
@@ -250,13 +250,21 @@ L1 = SpaceNorm.l1()
 SUP = SpaceNorm.sup()
 
 
-def norm(x: SeqVec, n: SpaceNorm) -> float:
-    """Norm of a sparse sequence; the empty sequence has norm 0."""
-    if x.is_empty():
+def _norm(coeffs: Iterable[float], n: SpaceNorm) -> float:
+    """Norm of a sequence given its coefficients in any order; none gives 0."""
+    a = [abs(c) for c in coeffs]
+    if not a:
         return 0.0
     if n.kind == "sup":
-        return max(abs(c) for _, c in x.items())
+        return max(a)
     if n.p == 1.0:
-        return math.fsum(abs(c) for _, c in x.items())
-    s = math.fsum(abs(c) ** n.p for _, c in x.items())
-    return s ** (1.0 / n.p)
+        return math.fsum(a)
+    s = max(a)
+    if s == 0.0:
+        return 0.0
+    return s * math.fsum((c / s) ** n.p for c in a) ** (1.0 / n.p)
+
+
+def norm(x: SeqVec, n: SpaceNorm) -> float:
+    """Norm of a sparse sequence; the empty sequence has norm 0."""
+    return _norm(x._e.values(), n)

@@ -364,14 +364,7 @@ def lipschitz_ratio(fam: WeightFamily, grid: Sequence[float], l: int, n: int) ->
     pts = sorted(set(float(a) for a in grid))
     if len(pts) < 2:
         raise ValueError("lipschitz_ratio needs at least 2 distinct grid points")
-    vals = [log_cum_window(fam, a, l, n) for a in pts]
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            q = abs(vals[j] - vals[i]) / (pts[j] - pts[i])
-            if q > best:
-                best = q
-    return best
+    return float(_max_slope(pts, [np.array([log_cum_window(fam, a, l, n)]) for a in pts])[0])
 
 
 def lipschitz_ratio_profile(

@@ -1,5 +1,6 @@
 """Tests for the criterion checkers."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from shiftlab import criteria, weights
-from shiftlab.covering import GradedParams, build_graded_covering
+from shiftlab.cli import run
+from shiftlab.covering import Cell, Covering, GradedParams, build_graded_covering
 from shiftlab.criteria import (
     CaracParams,
     UnifParams,
@@ -17,8 +19,13 @@ from shiftlab.criteria import (
     check_corollary_hypotheses,
     check_unif_hypotheses,
 )
-from shiftlab.seqspace import ProductKind, basis
-from shiftlab.weights import LipschitzProfile, WeightFamily
+from shiftlab.seqspace import L1, SUP, ProductKind, SeqVec, SpaceNorm, basis, norm, power
+from shiftlab.weights import (
+    LipschitzProfile,
+    WeightFamily,
+    apply_backward_power,
+    apply_forward_root_power,
+)
 
 AFF0 = WeightFamily.affine(0.0)
 PP = WeightFamily.pure_power()
@@ -99,6 +106,88 @@ class TestBasicCriterion:
                 assert loose.conditions[name].passed
 
 
+def basic_criterion_oracle(fams, cov, v, m_lo, m_hi, samples_per_axis, space_norm):
+    """Worst (achieved, witness) per display, rebuilt from the sparse operators."""
+    cw = ProductKind.COORDINATEWISE
+    roots = [SeqVec({k: c ** (1.0 / m_lo) for k, c in x.items()}) for x in v]
+
+    def forward(ax, j):
+        cell = cov.cells[j]
+        return apply_forward_root_power(fams[ax], cell.anchor[ax], m_lo, cell.n, roots[ax])
+
+    def total(vecs):
+        return math.fsum(norm(x, space_norm) for x in vecs)
+
+    def sums(terms):
+        acc = SeqVec()
+        for x in terms:
+            acc = acc + x
+        return acc
+
+    d, q = cov.d, cov.q
+    out = {"II.a": (total(sums(forward(ax, j) for j in range(q)) for ax in range(d)), None)}
+    worst = {"II.b": (0.0, None), "III": (0.0, None), "IV": (0.0, None)}
+    for i, cell in enumerate(cov.cells):
+        grids = [np.linspace(lo, hi, samples_per_axis).tolist() for lo, hi in cell.box]
+        for lam in itertools.product(*grids):
+            def back(ax, x):
+                return apply_backward_power(fams[ax], lam[ax], cell.n, x)
+
+            for m in range(m_lo, m_hi + 1):
+                found = {"II.b": total(
+                    sums(back(ax, power(forward(ax, j), m, cw)) for j in range(q) if j != i)
+                    for ax in range(d))}
+                own = [back(ax, power(forward(ax, i), m, cw)) for ax in range(d)]
+                if m == m_lo:
+                    found["IV"] = total(x - v[ax] for ax, x in enumerate(own))
+                else:
+                    found["III"] = total(own)
+                for name, val in found.items():
+                    if val > worst[name][0]:
+                        witness = {"cell": i, "lambda": list(lam)}
+                        if name != "IV":
+                            witness["m"] = m
+                        worst[name] = (val, witness)
+    out.update(worst)
+    return out
+
+
+class TestBasicCriterionOracle:
+    """The displays against the sparse shift operators, with colliding indices."""
+
+    def instance(self):
+        # consecutive powers with support {0, 1}: index l = 1 of cell j meets
+        # index l = 0 of cell j + 1 in II.a and II.b
+        cells = [Cell(n, (1.2 + 0.04 * n, 1.1 + 0.02 * n),
+                      ((1.18 + 0.04 * n, 1.22 + 0.04 * n), (1.08 + 0.02 * n, 1.12 + 0.02 * n)))
+                 for n in (3, 4, 5, 6)]
+        v = (SeqVec({0: 0.9, 1: 0.5}), SeqVec({0: 1.0, 1: 0.3}))
+        return (PP, GEO), Covering(tuple(cells)), v
+
+    @pytest.mark.parametrize("space_norm", [L1, SUP, SpaceNorm.lp(2)], ids=["l1", "sup", "lp2"])
+    def test_displays_match_sparse_operators(self, space_norm):
+        fams, cov, v = self.instance()
+        rep = check_basic_criterion(fams, cov, v, 2, 4, eps=0.1, samples_per_axis=2,
+                                    space_norm=space_norm)
+        oracle = basic_criterion_oracle(fams, cov, v, 2, 4, 2, space_norm)
+        for name, (achieved, witness) in oracle.items():
+            cond = rep.conditions[name]
+            assert cond.achieved == pytest.approx(achieved, rel=1e-12), name
+            assert cond.witness == witness, name
+        assert rep.conditions["III"].evaluations == 2 * 4 * 4
+
+    def test_overflowing_coefficient_exits_two(self, capsys):
+        # lambda = 0.5: the forward coefficient 0.5**(-2100) is not a double
+        cells = [{"n": n, "anchor": [0.5], "box": [[0.5, 0.5]]} for n in (100, 1000, 2100)]
+        job = {"command": "criterion-check", "payload": {
+            "families": [{"variant": "geometric"}], "covering": {"cells": cells},
+            "v": [{"entries": [[0, 1.0]]}], "m_lo": 1, "m_hi": 2, "eps": 0.1,
+            "samples_per_axis": 1}}
+        with np.errstate(over="ignore"):
+            assert run(job) == 2
+        assert "non-finite coefficient" in capsys.readouterr().err
+
+
 def unif_exp_alpha_params(**over):
     base = dict(m_prime=2, alpha=0.4, C1=2.0, C2=0.4, beta=0.9, M0=50.0, N0=50,
                 F=LipschitzProfile("power", 2.0, 0.4), n_max=500, k_max=2000,
@@ -146,6 +235,26 @@ class TestUnifHypotheses:
     def test_beta_invariant(self):
         with pytest.raises(ValueError, match="beta"):
             unif_exp_alpha_params(beta=0.5)
+
+    def test_one_prefix_per_grid_point(self, monkeypatch):
+        # 9 grid points; each prefix serves (i) to n_max and (iii) to k_max
+        p = unif_exp_alpha_params()
+        calls = []
+        prefix = weights.log_cum_prefix
+
+        def counted(fam, lam, upto):
+            calls.append((lam, upto))
+            return prefix(fam, lam, upto)
+
+        monkeypatch.setattr(weights, "log_cum_prefix", counted)
+        monkeypatch.setattr(criteria, "log_cum_prefix", counted)
+        check_unif_hypotheses(WeightFamily.affine(0.4), p)
+        assert sorted(calls) == [(a, p.k_max) for a in p.grid().tolist()]
+
+    def test_needs_two_distinct_grid_points(self):
+        with pytest.raises(ValueError, match="2 distinct grid points"):
+            check_unif_hypotheses(WeightFamily.exp_alpha(0.4),
+                                  unif_exp_alpha_params(I0_lo=1.5, I0_hi=1.5))
 
     def test_margin_table_per_nk(self):
         rep = check_unif_hypotheses(

@@ -150,6 +150,13 @@ class TestNorm:
         with pytest.raises(ValueError):
             SpaceNorm.lp(0.5)
 
+    def test_lp_tiny_vector_does_not_underflow(self):
+        # the square, 1e-340, is below the least subnormal
+        assert norm(1e-170 * basis(0), SpaceNorm.lp(2)) == 1e-170
+
+    def test_lp_huge_vector_does_not_overflow(self):
+        assert norm(1e200 * basis(0), SpaceNorm.lp(2)) == 1e200
+
 
 def _random_sparse(rng, max_idx=60, max_nnz=8, scale=2.0):
     nnz = rng.randint(0, max_nnz)
@@ -171,6 +178,8 @@ class TestAlgebraContracts:
     @given(st.lists(st.tuples(st.integers(0, 30), st.floats(-5, 5)), max_size=8),
            st.lists(st.tuples(st.integers(0, 30), st.floats(-5, 5)), max_size=8),
            st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    # the product's square is subnormal
+    @example(xs=[(0, 3.11401635162755e-79)], ys=[(0, 3.11401635162755e-79)], p=2.0)
     def test_cw_holder_type_bound(self, xs, ys, p):
         x, y = SeqVec(xs), SeqVec(ys)
         n = SpaceNorm.lp(p)
