@@ -53,7 +53,6 @@ from .witness import (
     eval_bruteforce,
     sweep_sigma,
 )
-from .cli import orbit_probe, run
 
 __version__ = "0.1.0"
 
@@ -70,5 +69,4 @@ __all__ = [
     "check_carac_conditions", "check_corollary_hypotheses", "check_unif_hypotheses",
     "BruteForceBudgetError", "SupportCollisionError", "Witness", "WitnessConfig",
     "WitnessEval", "build_witness", "eval_analytic", "eval_bruteforce", "sweep_sigma",
-    "orbit_probe", "run",
 ]

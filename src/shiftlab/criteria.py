@@ -146,9 +146,10 @@ def check_basic_criterion(
     for ax, root in enumerate(roots):
         supp = np.asarray(root.support(), dtype=np.int64)
         coeffs = np.asarray([root.coeff(int(l)) for l in supp])
-        A = np.concatenate([coeffs * np.exp(-log_cum_windows(
-            fams[ax], cell.anchor[ax], supp, np.full(supp.shape, cell.n)) / m_lo)
-            for cell in cov.cells])
+        with np.errstate(over="ignore"):  # _canonical rejects the overflow below
+            A = np.concatenate([coeffs * np.exp(-log_cum_windows(
+                fams[ax], cell.anchor[ax], supp, np.full(supp.shape, cell.n)) / m_lo)
+                for cell in cov.cells])
         ls, ns = np.tile(supp, cov.q), np.repeat(cov.powers, len(supp))
         # bincount adds colliding indices in (j, l) order, as dict updates do
         _, inv = np.unique(ls + ns, return_inverse=True)
@@ -277,7 +278,10 @@ def check_unif_hypotheses(
     (i) grid Lipschitz ratios against F(n); (ii) divergence probe of the
     cumulative products at k_max (a finite check cannot certify divergence,
     so the report labels it a probe); (iii) the two displayed inequalities
-    against M0/k**beta for all admitted (n, k) pairs, in log domain.
+    against M0/k**beta for all admitted (n, k) pairs, in log domain.  The
+    growth display depends on n only through n + k, so (iii) takes the worst
+    n per k as a window max and holds O(n_max + k_max) floats per grid
+    point; only ``collect_table`` materializes the (n, k) margins.
     """
     grid = p.grid()
     ns = np.arange(p.N0, p.n_max + 1, dtype=np.int64)
@@ -308,55 +312,51 @@ def check_unif_hypotheses(
         witness={"a": float(grid[w]), "k": p.k_max}, evaluations=len(grid),
         note="probe, not proof: log of the cumulative product at k_max")
 
-    # (iii) both tail displays, worst over (n, k, a), log domain
-    nk = ns[:, None] + ks[None, :]
-    growth = p.C2 * (ks[None, :].astype(np.float64) ** p.alpha) * (
-        np.asarray(p.F(nk), dtype=np.float64) / nk.astype(np.float64) ** p.alpha)
+    # (iii) both tail displays, worst over (n, k, a), log domain.  The growth
+    # display c_k * h(n + k), c_k = C2*k**alpha and h(s) = F(s)/s**alpha, sees
+    # n only through s: row k - N0 of the window view holds h(k+N0..k+n_max).
+    # Scaling by c_k > 0 and subtracting are monotone in floating point, so
+    # the window max gives the worst n per k with the bits of the full grid.
+    s = np.arange(2 * p.N0, p.n_max + p.k_max + 1, dtype=np.float64)
+    h = p.F(s) / s**p.alpha
+    win = np.lib.stride_tricks.sliding_window_view(h, len(ns))
+    ck = p.C2 * ks.astype(np.float64) ** p.alpha
     log_rhs = math.log(p.M0) - p.beta * np.log(ks.astype(np.float64))
+    fk = np.stack([prefs[a][ks] for a in grid.tolist()])  # (grid point, k)
+    m1 = (ck * win.max(axis=1) - fk) - log_rhs
+    m2 = (-fk / p.m_prime) - log_rhs
 
-    worst1 = (-math.inf, None)
-    worst2 = (-math.inf, None)
-    m1_table = None
-    m2_table = None
-    for a in grid.tolist():
-        fk = prefs[a][ks]
-        m1 = (growth - fk[None, :]) - log_rhs[None, :]
-        iw = np.unravel_index(int(np.argmax(m1)), m1.shape)
-        if m1[iw] > worst1[0]:
-            worst1 = (float(m1[iw]), {"n": int(ns[iw[0]]), "k": int(ks[iw[1]]), "a": a})
-        m2 = (-fk / p.m_prime) - log_rhs
-        jw = int(np.argmax(m2))
-        if m2[jw] > worst2[0]:
-            worst2 = (float(m2[jw]), {"k": int(ks[jw]), "a": a})
-        if collect_table:
-            m1_table = m1 if m1_table is None else np.maximum(m1_table, m1)
-            m2_table = m2 if m2_table is None else np.maximum(m2_table, m2)
-
-    table: List[dict] = []
-    if collect_table:
-        # per-(n, k) margins, worst over the parameter grid; the root display
-        # carries no n dependence and repeats along rows
-        for i, n in enumerate(ns.tolist()):
-            for j, k in enumerate(ks.tolist()):
-                table.append({"n": n, "k": k,
-                              "log_margin_growth": float(m1_table[i, j]),
-                              "log_margin_root": float(m2_table[j])})
-
+    # witnesses: the first grid point, then the first (n, k) in n-major order;
+    # only the columns tying for the maximum are rescanned (rounding ties n)
+    g = int(np.argmax(m1.max(axis=1)))
+    top = m1[g].max()
+    cols = np.flatnonzero(m1[g] == top)
+    hit = ((ck[cols, None] * win[cols] - fk[g, cols, None]) - log_rhs[cols, None]).T == top
+    i, j = np.unravel_index(int(np.argmax(hit)), hit.shape)
     conds["iii.growth"] = CheckResult(
-        worst1[0] <= 0.0, worst1[0], 0.0, witness=worst1[1],
+        bool(top <= 0.0), float(top), 0.0,
+        witness={"n": int(ns[i]), "k": int(ks[cols[j]]), "a": float(grid[g])},
         evaluations=len(grid) * len(ns) * len(ks),
         note="log-domain margin of the growth display against M0/k**beta")
+    g, j = np.unravel_index(int(np.argmax(m2)), m2.shape)
     conds["iii.root"] = CheckResult(
-        worst2[0] <= 0.0, worst2[0], 0.0, witness=worst2[1],
+        bool(m2[g, j] <= 0.0), float(m2[g, j]), 0.0,
+        witness={"k": int(ks[j]), "a": float(grid[g])},
         evaluations=len(grid) * len(ks),
         note="log-domain margin of the 1/m'-root display against M0/k**beta")
 
     meta = {"family": fam.to_json_dict(), "m_prime": p.m_prime, "alpha": p.alpha,
             "beta": p.beta, "M0": p.M0, "N0": p.N0, "n_max": p.n_max, "k_max": p.k_max}
-    report = CriterionReport(conditions=conds, meta=meta)
     if collect_table:
-        report.meta["table"] = table
-    return report
+        # per-(n, k) margins, worst over the parameter grid, hence at its least
+        # prefix; the root display carries no n dependence and repeats along rows
+        fmin = fk.min(axis=0)
+        t1 = ((ck[:, None] * win - fmin[:, None]) - log_rhs[:, None]).T.tolist()
+        t2 = ((-fmin / p.m_prime) - log_rhs).tolist()
+        meta["table"] = [{"n": n, "k": k, "log_margin_growth": t1[i][j],
+                          "log_margin_root": t2[j]}
+                         for i, n in enumerate(ns.tolist()) for j, k in enumerate(ks.tolist())]
+    return CriterionReport(conditions=conds, meta=meta)
 
 
 # ---------------------------------------------------------------------------

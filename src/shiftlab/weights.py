@@ -8,16 +8,15 @@ Ratios of cumulative weights are exp of window differences, which keeps
 n ~ 1e8 with lam <= 3 inside double range.
 
 The scalar affine window sum_{i=l+1}^{l+n} log1p(lam / i**(1-alpha)) takes
-one of four paths; each is measured against math.fsum of the same float
+one of three paths; each is measured against math.fsum of the same float
 terms (or mpmath) in tests/test_weights.py:
     table     l + n < _TABLE_MAX (2**16): O(1) difference of a memoized
               compensated prefix table, within 1 ulp of fsum
-    fsum      n <= _FSUM_MAX (2**21): the n terms summed by math.fsum,
-              correctly rounded
-    Stirling  alpha == 0, n > _FSUM_MAX: Gamma-ratio telescoping with
-              lognum.lgamma_ratio, relative error below 1e-11
-    chunked   alpha > 0, n > _FSUM_MAX: fsum over chunks of _FSUM_MAX terms,
-              then fsum of the chunk sums, within a few ulp
+    Stirling  alpha == 0, n > _FSUM_MAX (2**21): Gamma-ratio telescoping
+              with lognum.lgamma_ratio, relative error below 1e-11
+    fsum      any other window: math.fsum over chunks of at most _FSUM_MAX
+              terms, then fsum of the chunk sums; one chunk (n <= _FSUM_MAX)
+              is correctly rounded, several are within a few ulp
 
 Families:
     affine(alpha):   w_n(lam) = 1 + lam / n**(1-alpha),  alpha in [0, 1)
@@ -45,10 +44,10 @@ _VARIANTS = ("affine", "pure_power", "exp_alpha", "power_ratio", "geometric")
 # Affine window paths, tried in this order (see the module docstring):
 # windows ending below _TABLE_MAX difference a memoized compensated prefix
 # table (within 1 ulp of fsum, O(1) per window once the table is built:
-# 0.1 ms for 2**12 entries, about 2 ms for 2**16); other windows up to
-# _FSUM_MAX terms are summed with math.fsum (correctly rounded); longer ones
-# use the Stirling form for affine(0) (relative error below 1e-11) and
-# chunked fsum otherwise.  Tables come in power-of-two sizes from _TABLE_MIN
+# 0.1 ms for 2**12 entries, about 2 ms for 2**16); affine(0) windows longer
+# than _FSUM_MAX use the Stirling form (relative error below 1e-11); all
+# others are summed with math.fsum in chunks of _FSUM_MAX terms (correctly
+# rounded for one chunk).  Tables come in power-of-two sizes from _TABLE_MIN
 # up, so one (alpha, lam) holds at most five of them.
 _TABLE_MIN = 1 << 12
 _TABLE_MAX = 1 << 16
@@ -145,12 +144,16 @@ def log_weight(fam: WeightFamily, lam: float, n: int) -> float:
 
 
 def _affine_fsum_window(alpha: float, lam: float, l: int, n: int) -> float:
-    idx = np.arange(l + 1, l + n + 1, dtype=np.float64)
-    if alpha == 0.0:
-        terms = np.log1p(lam / idx)
-    else:
-        terms = np.log1p(lam / idx ** (1.0 - alpha))
-    return math.fsum(terms.tolist())
+    """math.fsum per chunk of at most _FSUM_MAX terms, then fsum of the chunk sums."""
+    sums = []
+    for start in range(l + 1, l + n + 1, _FSUM_MAX):
+        idx = np.arange(start, min(start + _FSUM_MAX, l + n + 1), dtype=np.float64)
+        if alpha == 0.0:
+            terms = np.log1p(lam / idx)
+        else:
+            terms = np.log1p(lam / idx ** (1.0 - alpha))
+        sums.append(math.fsum(terms.tolist()))
+    return math.fsum(sums)
 
 
 @lru_cache(maxsize=4096)
@@ -201,21 +204,10 @@ def _affine_window(alpha: float, lam: float, l: int, n: int) -> float:
         # s[b] >= s[l] >= 0, so Fast2Sum recovers the rounding error of hi
         hi = s[b] - s[l]
         return hi + (((s[b] - hi) - s[l]) + (c[b] - c[l]))
-    if n <= _FSUM_MAX:
-        return _affine_fsum_window(alpha, lam, l, n)
-    if alpha == 0.0:
+    if alpha == 0.0 and n > _FSUM_MAX:
         # prod_{i=l+1}^{l+n} (1 + lam/i) = Gamma-ratio telescoping
         return _affine0_lgamma_shift(lam, l + n + 1) - _affine0_lgamma_shift(lam, l + 1)
-    # No closed form for general alpha: chunked compensated summation.
-    total = []
-    start = l + 1
-    stop = l + n + 1
-    while start < stop:
-        end = min(start + _FSUM_MAX, stop)
-        idx = np.arange(start, end, dtype=np.float64)
-        total.append(math.fsum(np.log1p(lam / idx ** (1.0 - alpha)).tolist()))
-        start = end
-    return math.fsum(total)
+    return _affine_fsum_window(alpha, lam, l, n)
 
 
 # -- public window operations ---------------------------------------------------

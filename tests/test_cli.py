@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -359,6 +361,18 @@ class TestDocsExamples:
                "output": {"format": "json", "path": out}}
         assert run(job) == 0
         assert json.loads(Path(out).read_text())
+
+    def test_module_entry_point_runs_without_warnings(self):
+        # python -m shiftlab.cli must not find shiftlab.cli already imported
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONWARNINGS="default", PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "shiftlab.cli", "cover-build",
+             "--config", str(self.DOCS / "log_cover_build.json")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_sweep_example_runs_clean(self, tmp_path):
         payload = json.loads((self.DOCS / "witness_sweep.json").read_text())

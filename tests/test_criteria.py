@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -183,9 +185,11 @@ class TestBasicCriterionOracle:
             "families": [{"variant": "geometric"}], "covering": {"cells": cells},
             "v": [{"entries": [[0, 1.0]]}], "m_lo": 1, "m_hi": 2, "eps": 0.1,
             "samples_per_axis": 1}}
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert run(job) == 2
-        assert "non-finite coefficient" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "shiftlab: config error: non-finite coefficient in a criterion display"]
 
 
 def unif_exp_alpha_params(**over):
@@ -196,7 +200,73 @@ def unif_exp_alpha_params(**over):
     return UnifParams(**base)
 
 
+def unif_oracle(fam, p):
+    """Condition (iii) on the full (a, n, k) grid: worst values, witnesses, table.
+
+    Witnesses are the first grid point a, then the first (n, k) in n-major
+    order, at the maximum; table rows hold the worst margin over the grid.
+    """
+    ns = np.arange(p.N0, p.n_max + 1)
+    ks = np.arange(p.N0, p.k_max + 1)
+    kf = ks.astype(np.float64)
+    nk = (ns[:, None] + ks[None, :]).astype(np.float64)
+    growth = p.C2 * kf**p.alpha * (p.F(nk) / nk**p.alpha)  # (n, k)
+    log_rhs = math.log(p.M0) - p.beta * np.log(kf)
+    grid = p.grid().tolist()
+    fk = np.array([weights.log_cum_prefix(fam, a, max(p.n_max, p.k_max))[ks] for a in grid])
+    m1 = (growth[None, :, :] - fk[:, None, :]) - log_rhs  # (a, n, k)
+    m2 = (-fk / p.m_prime) - log_rhs  # (a, k)
+    g, i, j = np.unravel_index(int(np.argmax(m1)), m1.shape)
+    g2, j2 = np.unravel_index(int(np.argmax(m2)), m2.shape)
+    t1, t2 = m1.max(axis=0), m2.max(axis=0)
+    table = [{"n": int(n), "k": int(k), "log_margin_growth": float(t1[a, b]),
+              "log_margin_root": float(t2[b])}
+             for a, n in enumerate(ns) for b, k in enumerate(ks)]
+    return ((float(m1[g, i, j]), {"n": int(ns[i]), "k": int(ks[j]), "a": grid[g]}),
+            (float(m2[g2, j2]), {"k": int(ks[j2]), "a": grid[g2]}), table)
+
+
 class TestUnifHypotheses:
+    # alpha_F == alpha with D1 = 2 makes F(s)/s**alpha exactly 2: every n ties
+    ORACLE_CASES = {
+        "power_ties": (WeightFamily.exp_alpha(0.4), dict(N0=7, n_max=40, k_max=90)),
+        "log_interior": (PP, dict(alpha=0.2, beta=0.45, C1=2.0, N0=3, n_max=200,
+                                  k_max=150, F=LipschitzProfile("log", 1.05))),
+        "tiny_m0": (WeightFamily.affine(0.4), dict(M0=1e-30, N0=5, n_max=30, k_max=80)),
+        "geometric": (GEO, dict(N0=2, n_max=25, k_max=60, I0_lo=0.5, I0_hi=1.5,
+                                I0_points=4, F=LipschitzProfile("power", 1.3, 0.25))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_tail_displays_match_full_grid_oracle(self, name):
+        fam, over = self.ORACLE_CASES[name]
+        p = unif_exp_alpha_params(**over)
+        rep = check_unif_hypotheses(fam, p, collect_table=True)
+        growth, root, table = unif_oracle(fam, p)
+        for cond, (achieved, witness) in (("iii.growth", growth), ("iii.root", root)):
+            assert rep.conditions[cond].achieved == achieved, cond
+            assert rep.conditions[cond].witness == witness, cond
+            assert rep.conditions[cond].passed == (achieved <= 0.0), cond
+        assert rep.meta["table"] == table
+        n = growth[1]["n"]
+        if name == "power_ties":
+            assert n == p.N0
+        if name == "log_interior":  # h(s) = log(s)/s**0.2 peaks at s = e**5
+            assert p.N0 < n < p.n_max
+        if name == "tiny_m0":
+            assert not rep.conditions["iii.growth"].passed
+
+    def test_growth_display_allocates_no_pair_grid(self):
+        p = unif_exp_alpha_params(n_max=500, k_max=5000)
+        pair_grid_bytes = (p.n_max - p.N0 + 1) * (p.k_max - p.N0 + 1) * 8
+        tracemalloc.start()
+        try:
+            check_unif_hypotheses(WeightFamily.exp_alpha(0.4), p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pair_grid_bytes
+
     def test_exp_alpha_passes(self):
         rep = check_unif_hypotheses(WeightFamily.exp_alpha(0.4), unif_exp_alpha_params())
         assert rep.overall, {k: c.passed for k, c in rep.conditions.items()}
