@@ -19,7 +19,6 @@ Large cumulative products are compared in log domain throughout.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -295,7 +294,7 @@ def check_unif_hypotheses(
     if len(pts) < 2:
         raise ValueError("need at least 2 distinct grid points")
     prefs = {a: log_cum_prefix(fam, a, max(p.n_max, p.k_max)) for a in pts}
-    ratios = _max_slope(pts, [prefs[a][ns] for a in pts])
+    ratios = _max_slope(pts, (prefs[a][ns] for a in pts))
     fn = np.asarray(p.F(ns), dtype=np.float64)
     diff = ratios - fn
     w = int(np.argmax(diff))
@@ -387,8 +386,7 @@ def check_corollary_hypotheses(
     D2 = float(constants["D2"])
     if D1 <= 0.0 or D2 <= 0.0:
         raise ValueError("constants must be positive")
-    ns = np.arange(N, n_max + 1, dtype=np.int64)
-    nsf = ns.astype(np.float64)
+    nsf = np.arange(N, n_max + 1, dtype=np.float64)
 
     if variant == 1:
         alpha = constants.get("alpha", fam.alpha)
@@ -408,22 +406,28 @@ def check_corollary_hypotheses(
     else:
         raise ValueError(f"variant must be 1 or 2, got {variant}")
 
-    # one prefix per grid point serves both bullets
-    logs = [log_cum_prefix(fam, a, n_max)[N:] for a in grid]
-    ratios = _max_slope(grid, logs)
+    # one prefix per grid point serves both bullets; two are held at a time
+    fmin = np.full(len(nsf), math.inf)
+
+    def rows():
+        for a in grid:
+            row = log_cum_prefix(fam, a, n_max)[N:]
+            np.minimum(fmin, row, out=fmin)
+            yield row
+
+    ratios = _max_slope(grid, rows())
     diff = ratios - lip_bound
     w = int(np.argmax(diff))
     lip = CheckResult(
         bool(diff[w] <= 0.0), float(ratios[w]), float(lip_bound[w]),
-        witness={"n": int(ns[w])}, evaluations=len(ns))
+        witness={"n": N + w}, evaluations=len(nsf))
 
     # growth floor: min over the grid of the log cumulative product
-    fmin = functools.reduce(np.minimum, logs)
     gdiff = fmin - growth_floor
     w = int(np.argmin(gdiff))
     grw = CheckResult(
         bool(gdiff[w] >= 0.0), float(fmin[w]), float(growth_floor[w]),
-        sense="floor", witness={"n": int(ns[w])}, evaluations=len(grid) * len(ns),
+        sense="floor", witness={"n": N + w}, evaluations=len(grid) * len(nsf),
         note="log of the cumulative product against the log of the floor")
 
     meta = {"family": fam.to_json_dict(), "variant": variant, "N": N, "n_max": n_max,
@@ -485,8 +489,11 @@ def check_carac_conditions(
         raise ValueError("K must match the family dimension")
     q = len(sched)
     ns = [n for n, _ in sched]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("schedule powers must be strictly increasing")
+    if min(ns) < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("schedule powers must be positive and strictly increasing")
+    fns = [float(p.F(n)) for n in ns]
+    if not all(f > 0.0 for f in fns):
+        raise ValueError("growth profile F(n_k) must be positive at every schedule power")
     conds: Dict[str, CheckResult] = {}
 
     gaps_min = min([ns[0]] + [b - a for a, b in zip(ns, ns[1:])])
@@ -496,8 +503,8 @@ def check_carac_conditions(
 
     # (i) box cover of K by the backward tau/F(n_k) boxes
     boxes = []
-    for n_k, lam in sched:
-        r = p.tau / float(p.F(n_k))
+    for f, (_, lam) in zip(fns, sched):
+        r = p.tau / f
         boxes.append(tuple((lam[ax] - r, lam[ax]) for ax in range(d)))
     covered, missing, count = box_union_covers(boxes, p.K)
     conds["i"] = CheckResult(
@@ -545,37 +552,31 @@ def check_carac_conditions(
         evaluations=evals)
 
     # hypothesis probe: Lipschitz sandwich and weight-ratio floor on K's grid
-    probe = _carac_hypothesis_probe(fams, sched, p)
-    conds["H"] = probe
+    conds["H"] = _carac_hypothesis_probe(fams, ns, fns, p)
 
     meta = {"q": q, "d": d, "m": p.m, "tau": p.tau, "N": p.N, "eps": p.eps,
             "norm": p.space_norm.to_json()}
     return CriterionReport(conditions=conds, meta=meta)
 
 
-def _carac_hypothesis_probe(fams, sched, p: CaracParams) -> CheckResult:
-    worst = math.inf
-    witness = None
-    checked = 0
+def _carac_hypothesis_probe(fams, ns, fns, p: CaracParams) -> CheckResult:
+    worst, witness, checked = math.inf, None, 0
     for ax, fam in enumerate(fams):
         lo, hi = p.K[ax]
         pts = sorted({lo, (lo + hi) / 2.0, hi})
         if len(pts) < 2:
             pts = [lo, lo * 1.5 + 0.5]
-        for n_k, _ in sched:
-            fn = float(p.F(n_k))
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    a, b = pts[i], pts[j]
-                    df = abs(log_cum_window(fam, b, 0, n_k) - log_cum_window(fam, a, 0, n_k))
-                    lo_m = df - p.c * fn * (b - a)
-                    hi_m = p.C * fn * (b - a) - df
-                    ratio_m = math.exp(log_weight(fam, a, n_k) - log_weight(fam, b, n_k)) - p.c
-                    m = min(lo_m, hi_m, ratio_m)
-                    checked += 1
-                    if m < worst:
-                        worst = m
-                        witness = {"axis": ax, "n": n_k, "a": a, "b": b}
+        for n_k, fn in zip(ns, fns):
+            for a, b in itertools.combinations(pts, 2):
+                df = abs(log_cum_window(fam, b, 0, n_k) - log_cum_window(fam, a, 0, n_k))
+                lo_m = df - p.c * fn * (b - a)
+                hi_m = p.C * fn * (b - a) - df
+                ratio_m = math.exp(log_weight(fam, a, n_k) - log_weight(fam, b, n_k)) - p.c
+                m = min(lo_m, hi_m, ratio_m)
+                checked += 1
+                if m < worst:
+                    worst = m
+                    witness = {"axis": ax, "n": n_k, "a": a, "b": b}
     return CheckResult(
         worst >= 0.0, -worst, 0.0, witness=witness, evaluations=checked,
         note="hypothesis probe: Lipschitz sandwich and weight-ratio floor on K's grid")

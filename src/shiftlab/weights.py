@@ -28,11 +28,10 @@ Families:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -356,7 +355,7 @@ def lipschitz_ratio(fam: WeightFamily, grid: Sequence[float], l: int, n: int) ->
     pts = sorted(set(float(a) for a in grid))
     if len(pts) < 2:
         raise ValueError("lipschitz_ratio needs at least 2 distinct grid points")
-    return float(_max_slope(pts, [np.array([log_cum_window(fam, a, l, n)]) for a in pts])[0])
+    return float(_max_slope(pts, (np.array([log_cum_window(fam, a, l, n)]) for a in pts))[0])
 
 
 def lipschitz_ratio_profile(
@@ -368,14 +367,26 @@ def lipschitz_ratio_profile(
         raise ValueError("need at least 2 distinct grid points")
     n_values = np.asarray(n_values, dtype=np.int64)
     upto = int(n_values.max(initial=0))
-    return _max_slope(pts, [log_cum_prefix(fam, a, upto)[n_values] for a in pts])
+    return _max_slope(pts, (log_cum_prefix(fam, a, upto)[n_values] for a in pts))
 
 
-def _max_slope(pts: Sequence[float], vals: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise max over pairs i < j of |vals[j] - vals[i]| / (pts[j] - pts[i])."""
-    best = np.zeros(len(vals[0]))
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        np.maximum(best, np.abs(vals[j] - vals[i]) / (pts[j] - pts[i]), out=best)
+def _max_slope(pts: Sequence[float], rows: Iterable[np.ndarray]) -> np.ndarray:
+    """Elementwise max over pairs i < j of |rows[j] - rows[i]| / (pts[j] - pts[i]).
+
+    ``pts`` are sorted and distinct, and ``rows`` may be an iterator: only
+    neighbouring chords are taken, so two rows are held at a time.  They carry
+    the maximum, since the chord over [p_i, p_j] is the mean of the
+    neighbouring chords it spans weighted by their lengths, and a mean is at
+    most the largest of its terms.  In floating point the result is never
+    above the all-pairs maximum.  It has the same bits wherever pts[-1] <=
+    2 * pts[0] and the row values at each index lie within a factor of two of
+    each other: every subtraction is then exact (Sterbenz), and rounding the
+    quotient is monotone, so no chord rounds above its largest neighbour.
+    """
+    rows = iter(rows)
+    prev, best = next(rows), 0.0
+    for a, b, row in zip(pts, pts[1:], rows):
+        best, prev = np.maximum(best, np.abs(row - prev) / (b - a)), row
     return best
 
 

@@ -19,6 +19,19 @@ PP = WeightFamily.pure_power()
 GRADED_PARAMS = {"alpha": 0.3, "beta": 0.7, "D": 0.3, "tau": 0.055,
                  "eta": 2.0, "N": 150, "d": 2}
 K_SMALL = [[1.0, 1.02], [1.0, 1.02]]
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+# every docs/examples payload and the command that runs it
+EXAMPLE_COMMANDS = {
+    "carac_check": "carac-check",
+    "corollary_check": "corollary-check",
+    "criterion_check": "criterion-check",
+    "graded_cover_build": "cover-build",
+    "log_cover_build": "cover-build",
+    "orbit_probe": "orbit-probe",
+    "unif_check": "unif-check",
+    "witness_eval": "witness-eval",
+    "witness_sweep": "witness-sweep",
+}
 
 
 def write(tmp_path, name, obj):
@@ -38,6 +51,19 @@ def witness_cfg_json(base=100, q=4):
         "eta": 0.5,
         "cov_override": cov.to_json_dict(),
     }
+
+
+def numeric_leaves(obj, path=()):
+    """Paths to the int and float leaves of a JSON value, in document order."""
+    if isinstance(obj, dict):
+        obj = obj.items()
+    elif isinstance(obj, list):
+        obj = enumerate(obj)
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return [path]
+    else:
+        return []
+    return [leaf for k, v in obj for leaf in numeric_leaves(v, path + (k,))]
 
 
 class TestCoverCommands:
@@ -161,6 +187,65 @@ class TestExitCodeContract:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
         assert all(e.startswith("shiftlab: config error:") and "x.json" in e for e in err)
+
+    @pytest.mark.parametrize("n_1,profile", [
+        (0, {"kind": "power", "D1": 1.0, "alpha": 0.5}),
+        (-1, {"kind": "power", "D1": 1.0, "alpha": 0.5}),
+        (1, {"kind": "log", "D1": 1.0}),
+    ])
+    def test_carac_check_rejects_zero_profile_at_schedule_power(
+            self, tmp_path, capsys, n_1, profile):
+        # F(n_1) = 0 would divide the box radius tau / F(n_1) by zero
+        payload = json.loads((EXAMPLES / "carac_check.json").read_text())
+        payload["schedule"][0][0] = n_1
+        payload["params"]["F"] = profile
+        out = tmp_path / "carac.json"
+        job = {"command": "carac-check", "payload": payload,
+               "output": {"format": "json", "path": str(out)}}
+        assert run(job) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("shiftlab: config error:")
+        assert not out.exists()
+
+    # numeric leaves per payload in the mutation test below; all leaves times
+    # all values is about 1,800 runs and a minute, this subset about 110 runs
+    LEAVES_PER_PAYLOAD = 16
+    MUTANTS = (0, 1, -1, 0.5, 2, 1e-300)
+
+    def assert_contract(self, command, payload, path, value, tmp_path, capsys):
+        payload = json.loads(json.dumps(payload))
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        job = {"command": command, "payload": payload,
+               "output": {"format": "json", "path": str(tmp_path / "mutant.json")}}
+        code = run(job)
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 1, 2), (path, value)
+        if code == 2:
+            assert len(err) == 1 and err[0].startswith("shiftlab: config error:"), \
+                (path, value, err)
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_COMMANDS))
+    def test_mutated_example_keeps_exit_contract(self, name, tmp_path, capsys):
+        # one numeric leaf set to an edge value: exit 0, 1 or 2, never a raise,
+        # and exit 2 prints exactly one config-error line
+        payload = json.loads((EXAMPLES / f"{name}.json").read_text())
+        if name == "witness_sweep":
+            payload["bases"] = payload["bases"][:2]
+        leaves = numeric_leaves(payload)
+        stride = -(-len(leaves) // self.LEAVES_PER_PAYLOAD)
+        for i, path in enumerate(leaves[::stride]):
+            value = self.MUTANTS[i % len(self.MUTANTS)]
+            self.assert_contract(EXAMPLE_COMMANDS[name], payload, path, value,
+                                 tmp_path, capsys)
+
+    @pytest.mark.parametrize("value", MUTANTS)
+    def test_mutated_first_schedule_power_keeps_exit_contract(self, value, tmp_path, capsys):
+        payload = json.loads((EXAMPLES / "carac_check.json").read_text())
+        self.assert_contract("carac-check", payload, ("schedule", 0, 0), value,
+                             tmp_path, capsys)
 
 
 class TestDeterminism:

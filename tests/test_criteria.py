@@ -398,6 +398,20 @@ class TestCorollaryHypotheses:
         assert rep.overall
         assert sorted(calls) == grid
 
+    def test_holds_two_prefixes_not_one_per_grid_point(self):
+        # holding all 9 prefixes at once peaked at 17 prefix sizes
+        n_max = 200_000
+        prefix_bytes = 8 * (n_max + 1)
+        tracemalloc.start()
+        try:
+            check_corollary_hypotheses(
+                WeightFamily.affine(0.4), self.GRID_12, 1,
+                {"D1": 5.0, "D2": 0.5, "D3": 1.0}, N=5, n_max=n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * prefix_bytes
+
 
 class TestCaracConditions:
     def exp_alpha_setup(self, m=3, q=20, eps=1.0):

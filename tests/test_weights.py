@@ -1,5 +1,6 @@
 """Tests for weight families, log-domain windows and shift application."""
 
+import itertools
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -290,6 +291,45 @@ class TestLipschitzRatio:
             lipschitz_ratio(PP, [1.0], 0, 10)
         with pytest.raises(ValueError):
             lipschitz_ratio(PP, [1.0, 1.0], 0, 10)
+
+    @staticmethod
+    def all_pairs_max(pts, rows):
+        best = np.zeros(len(rows[0]))
+        for i, j in itertools.combinations(range(len(pts)), 2):
+            np.maximum(best, np.abs(rows[j] - rows[i]) / (pts[j] - pts[i]), out=best)
+        return best
+
+    @staticmethod
+    def random_grid(rng, spread):
+        lo = rng.uniform(1.0, 3.0)
+        hi = lo * rng.uniform(1.0001, spread)
+        inner = {rng.uniform(lo, hi) for _ in range(rng.randint(0, 10))}
+        return sorted(inner | {lo, hi})
+
+    @pytest.mark.parametrize("fam", FAMILIES[:5], ids=str)
+    def test_scan_is_bit_equal_to_all_pairs_on_narrow_grids(self, fam):
+        # hi <= 2*lo: every chord's subtraction is exact, so no pair chord
+        # rounds above the largest neighbouring chord
+        rng = random.Random(31)
+        for _ in range(40):
+            pts = self.random_grid(rng, 2.0)
+            upto = rng.randint(1, 20_000)
+            rows = [log_cum_prefix(fam, a, upto) for a in pts]
+            got = weights._max_slope(pts, iter(rows))
+            assert np.array_equal(got, self.all_pairs_max(pts, rows))
+
+    @pytest.mark.parametrize("fam,spread", [(f, 60.0) for f in FAMILIES] + [(GEO, 2.0)],
+                             ids=str)
+    def test_scan_never_exceeds_all_pairs(self, fam, spread):
+        rng = random.Random(37)
+        for _ in range(40):
+            pts = self.random_grid(rng, spread)
+            upto = rng.randint(1, 20_000)
+            rows = [log_cum_prefix(fam, a, upto) for a in pts]
+            got = weights._max_slope(pts, iter(rows))
+            want = self.all_pairs_max(pts, rows)
+            assert (got <= want).all()
+            assert (want - got <= 4 * np.finfo(float).eps * want).all()
 
     def test_profile_matches_scalar(self):
         grid = [1.0, 1.5, 2.0]
