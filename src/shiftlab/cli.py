@@ -1,11 +1,11 @@
 """Batch front-end: job configs in, JSON/CSV reports out.
 
 Subcommands map one-to-one onto the library checkers plus an orbit probe.
-Every payload is validated against its JSON schema (shipped under
-``shiftlab/schemas``) before any computation.  Exit codes: 0 all checks
-passed, 1 a check failed (the report is still written), 2 usage or
-configuration error, including an output path that cannot be opened
-(nothing is written).
+Every payload is scanned for NaN and infinities, then validated against its
+JSON schema (shipped under ``shiftlab/schemas``), before any computation.
+Exit codes: 0 all checks passed, 1 a check failed (the report is still
+written), 2 usage or configuration error, including a non-finite number or
+an output path that cannot be opened (nothing is written).
 
 Reports are deterministic: an identical job yields byte-identical output.
 The seed is echoed into ``meta.seed`` only; nothing draws a random number.
@@ -48,6 +48,15 @@ def _schema_for(command: str) -> dict:
     name = command.replace("-", "_") + ".schema.json"
     ref = resources.files("shiftlab.schemas").joinpath(name)
     return json.loads(ref.read_text())
+
+
+def _reject_non_finite(obj, path=("payload",)):
+    """Reject NaN and infinities: Python's json reads them and the schemas let them pass."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ConfigError(f"non-finite number {obj} at {'/'.join(map(str, path))}")
+    if isinstance(obj, (dict, list)):
+        for key, val in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            _reject_non_finite(val, path + (key,))
 
 
 def _validate_payload(command: str, payload: dict):
@@ -339,6 +348,7 @@ def run(job: dict) -> int:
         if fmt not in ("json", "csv"):
             raise ConfigError(f"unknown output format {fmt!r}")
         seed = int(job.get("seed", 0))
+        _reject_non_finite(payload)
         _validate_payload(command, payload)
         passed, report, csv_data = _HANDLERS[command](payload)
     except (ConfigError, ValueError, KeyError, TypeError, OverflowError,

@@ -19,10 +19,11 @@ Large cumulative products are compared in log domain throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -75,24 +76,12 @@ def _norm_from_logcoeffs(logcs: Sequence[float], n: SpaceNorm) -> float:
         return 0.0
     if n.kind == "sup":
         return math.exp(max(logcs))
-    if n.p == 1.0:
-        return math.exp(logsumexp(logcs))
     return math.exp(logsumexp([n.p * c for c in logcs]) / n.p)
 
 
 # ---------------------------------------------------------------------------
 # basic criterion for algebras
 # ---------------------------------------------------------------------------
-
-
-def _cell_samples(cell, samples_per_axis: int) -> List[Tuple[float, ...]]:
-    """Sample grid inside a cell's box; a single sample sits on the anchor."""
-    if samples_per_axis < 1:
-        raise ValueError("samples_per_axis must be >= 1")
-    if samples_per_axis == 1:
-        return [tuple(cell.anchor)]
-    return list(itertools.product(
-        *(np.linspace(lo, hi, samples_per_axis).tolist() for lo, hi in cell.box)))
 
 
 def check_basic_criterion(
@@ -127,6 +116,8 @@ def check_basic_criterion(
         raise ValueError("power range must satisfy 1 <= m_lo <= m_hi")
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
+    if samples_per_axis < 1:
+        raise ValueError("samples_per_axis must be >= 1")
     for ax, vec in enumerate(v):
         for k, c in vec.items():
             if c < 0.0:
@@ -180,34 +171,43 @@ def check_basic_criterion(
         n_i = cell.n
         # B^{n_i} moves (j, l) to l + n_j - n_i; the row j = i lands on l
         axes = []
-        for ls, ns, target, Am in flat:
+        for (ls, ns, target, Am), a, (lo, hi) in zip(flat, cell.anchor, cell.box):
             offs = ls + ns - n_i
             keep = offs >= 0
             offs, own = offs[keep], ns[keep] == n_i
             _, inv = np.unique(offs[~own], return_inverse=True)
-            axes.append((offs, own, ~own, inv, target, {m: a[keep] for m, a in Am.items()}))
-        for lam in _cell_samples(cell, samples_per_axis):
-            # per power m, summed over the axes: II.b over the rows j != i
-            # and III (or IV for m_lo) over the row j = i
-            tail = dict.fromkeys(ms, 0.0)
-            head = dict.fromkeys(ms, 0.0)
-            for ax, (offs, own, other, inv, target, Am) in enumerate(axes):
-                w = log_cum_windows(fams[ax], lam[ax], offs, np.full(offs.shape, n_i))
-                e = np.asarray([math.exp(x) for x in w.tolist()])
-                for m in ms:
-                    c = Am[m] * e
-                    tail[m] += _norm(_canonical(np.bincount(inv, c[other])).tolist(),
-                                     space_norm)
-                    c = _canonical(c[own])
-                    if m == m_lo:
-                        c = _canonical(c - target)
-                    head[m] += _norm(c.tolist(), space_norm)
+            lams = [a] if samples_per_axis == 1 else np.linspace(lo, hi, samples_per_axis).tolist()
+            axes.append((lams, offs, own, ~own, inv, target, {m: x[keep] for m, x in Am.items()}))
+
+        @functools.cache
+        def axis_norms(ax, k):
+            # per power m: II.b over the rows j != i, III (IV for m_lo) over j = i
+            lams, offs, own, other, inv, target, Am = axes[ax]
+            w = log_cum_windows(fams[ax], lams[k], offs, np.full(offs.shape, n_i))
+            e = np.asarray([math.exp(x) for x in w.tolist()])
+            out = []
             for m in ms:
-                record("II.b", tail[m], {"cell": i, "lambda": list(lam), "m": m})
+                c = Am[m] * e
+                tail = _norm(_canonical(np.bincount(inv, c[other])).tolist(), space_norm)
+                c = _canonical(c[own])
                 if m == m_lo:
-                    record("IV", head[m], {"cell": i, "lambda": list(lam)})
+                    c = _canonical(c - target)
+                out.append((tail, _norm(c.tolist(), space_norm)))
+            return out
+
+        # sum in axis order with + (sum() may compensate); an axis value is computed on first use
+        for idx in itertools.product(range(samples_per_axis), repeat=d):
+            lam = [axes[ax][0][k] for ax, k in enumerate(idx)]
+            for mi, m in enumerate(ms):
+                tail = head = 0.0
+                for ax, k in enumerate(idx):
+                    t, h = axis_norms(ax, k)[mi]
+                    tail, head = tail + t, head + h
+                record("II.b", tail, {"cell": i, "lambda": list(lam), "m": m})
+                if m == m_lo:
+                    record("IV", head, {"cell": i, "lambda": list(lam)})
                 else:
-                    record("III", head[m], {"cell": i, "lambda": list(lam), "m": m})
+                    record("III", head, {"cell": i, "lambda": list(lam), "m": m})
 
     if m_hi == m_lo:
         worst["III"].note = "vacuous: the power range (m_lo, m_hi] is empty"
@@ -261,6 +261,8 @@ class UnifParams:
             raise ValueError("I0 must be a compact interval in (0, +inf)")
         if self.I0_points < 2:
             raise ValueError("I0 grid needs at least 2 points")
+        if (self.n_max - self.N0 + 1) * (self.k_max - self.N0 + 1) > _MAX_PAIR_GRID:
+            raise ValueError("n_max*k_max grid too large; lower the evaluation bounds")
         ns = np.arange(self.N0, self.n_max + 1, dtype=np.float64)
         if (np.asarray(self.F(ns)) > self.C1 * ns**self.alpha).any():
             raise ValueError("profile violates F(n) <= C1 * n**alpha on [N0, n_max]")
@@ -285,8 +287,6 @@ def check_unif_hypotheses(
     grid = p.grid()
     ns = np.arange(p.N0, p.n_max + 1, dtype=np.int64)
     ks = np.arange(p.N0, p.k_max + 1, dtype=np.int64)
-    if len(ns) * len(ks) > _MAX_PAIR_GRID:
-        raise ValueError("n_max*k_max grid too large; lower the evaluation bounds")
     conds: Dict[str, CheckResult] = {}
 
     # one prefix per distinct grid point serves (i) and (iii)

@@ -1,6 +1,7 @@
 """Tests for the batch CLI: exit codes, determinism, schemas, orbit probe."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -64,6 +65,16 @@ def numeric_leaves(obj, path=()):
     else:
         return []
     return [leaf for k, v in obj for leaf in numeric_leaves(v, path + (k,))]
+
+
+def with_leaf(payload, path, value):
+    """A copy of the payload with the leaf at ``path`` set to ``value``."""
+    payload = json.loads(json.dumps(payload))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
 
 
 class TestCoverCommands:
@@ -188,6 +199,49 @@ class TestExitCodeContract:
         assert len(err) == 2
         assert all(e.startswith("shiftlab: config error:") and "x.json" in e for e in err)
 
+    def test_unif_check_huge_k_max_exits_two(self, tmp_path, capsys):
+        # k_max = 2**63 does not fit an int64 arange; the guard reads the integers
+        payload = json.loads((EXAMPLES / "unif_check.json").read_text())
+        payload["params"]["k_max"] = 2**63
+        out = tmp_path / "unif.json"
+        job = {"command": "unif-check", "payload": payload,
+               "output": {"format": "json", "path": str(out)}}
+        assert run(job) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "shiftlab: config error: n_max*k_max grid too large; lower the evaluation bounds"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,path,value", [
+        ("graded_cover_build", ("params", "D"), math.nan),
+        ("corollary_check", ("constants", "D2"), math.inf),
+        ("carac_check", ("params", "tau"), math.nan),
+    ], ids=["graded_D_nan", "corollary_D2_inf", "carac_tau_nan"])
+    def test_non_finite_json_number_exits_two(self, name, path, value, tmp_path, capsys):
+        # Python's json writes and reads NaN and Infinity; no job may run on them
+        payload = json.loads((EXAMPLES / f"{name}.json").read_text())
+        payload[path[0]][path[1]] = value
+        cfg = write(tmp_path, "cfg.json", payload)
+        assert ("NaN" if math.isnan(value) else "Infinity") in Path(cfg).read_text()
+        out = tmp_path / "report.json"
+        assert main([EXAMPLE_COMMANDS[name], "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"shiftlab: config error: non-finite number {value} at payload/{'/'.join(path)}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_COMMANDS))
+    def test_every_non_finite_leaf_exits_two(self, name, tmp_path, capsys):
+        payload = json.loads((EXAMPLES / f"{name}.json").read_text())
+        for path in numeric_leaves(payload):
+            for value in (math.nan, math.inf, -math.inf):
+                job = {"command": EXAMPLE_COMMANDS[name],
+                       "payload": with_leaf(payload, path, value),
+                       "output": {"format": "json", "path": str(tmp_path / "mutant.json")}}
+                assert run(job) == 2, (path, value)
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and err[0].startswith(
+                    "shiftlab: config error: non-finite number"), (path, value, err)
+        assert not (tmp_path / "mutant.json").exists()
+
     @pytest.mark.parametrize("n_1,profile", [
         (0, {"kind": "power", "D1": 1.0, "alpha": 0.5}),
         (-1, {"kind": "power", "D1": 1.0, "alpha": 0.5}),
@@ -213,12 +267,7 @@ class TestExitCodeContract:
     MUTANTS = (0, 1, -1, 0.5, 2, 1e-300)
 
     def assert_contract(self, command, payload, path, value, tmp_path, capsys):
-        payload = json.loads(json.dumps(payload))
-        node = payload
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        job = {"command": command, "payload": payload,
+        job = {"command": command, "payload": with_leaf(payload, path, value),
                "output": {"format": "json", "path": str(tmp_path / "mutant.json")}}
         code = run(job)
         err = capsys.readouterr().err.splitlines()

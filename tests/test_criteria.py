@@ -166,17 +166,32 @@ class TestBasicCriterionOracle:
         v = (SeqVec({0: 0.9, 1: 0.5}), SeqVec({0: 1.0, 1: 0.3}))
         return (PP, GEO), Covering(tuple(cells)), v
 
-    @pytest.mark.parametrize("space_norm", [L1, SUP, SpaceNorm.lp(2)], ids=["l1", "sup", "lp2"])
-    def test_displays_match_sparse_operators(self, space_norm):
+    @pytest.mark.parametrize("space_norm,samples", [
+        (L1, 2), (SUP, 2), (SpaceNorm.lp(2), 2),
+        (L1, 3), (SUP, 3), (SpaceNorm.lp(2), 3),
+    ], ids=["l1", "sup", "lp2", "l1-s3", "sup-s3", "lp2-s3"])
+    def test_displays_match_sparse_operators(self, space_norm, samples, monkeypatch):
         fams, cov, v = self.instance()
-        rep = check_basic_criterion(fams, cov, v, 2, 4, eps=0.1, samples_per_axis=2,
+        calls = []
+        windows = criteria.log_cum_windows
+
+        def counted(*args):
+            calls.append(args)
+            return windows(*args)
+
+        monkeypatch.setattr(criteria, "log_cum_windows", counted)
+        rep = check_basic_criterion(fams, cov, v, 2, 4, eps=0.1, samples_per_axis=samples,
                                     space_norm=space_norm)
-        oracle = basic_criterion_oracle(fams, cov, v, 2, 4, 2, space_norm)
+        oracle = basic_criterion_oracle(fams, cov, v, 2, 4, samples, space_norm)
         for name, (achieved, witness) in oracle.items():
             cond = rep.conditions[name]
             assert cond.achieved == pytest.approx(achieved, rel=1e-12), name
             assert cond.witness == witness, name
-        assert rep.conditions["III"].evaluations == 2 * 4 * 4
+        q, d = cov.q, cov.d
+        assert rep.conditions["III"].evaluations == q * samples**d * (4 - 2)
+        # q*d anchor windows, then one per cell, axis and sampled value of that
+        # axis: the s**d grid points share them
+        assert len(calls) == q * d + q * d * samples
 
     def test_overflowing_coefficient_exits_two(self, capsys):
         # lambda = 0.5: the forward coefficient 0.5**(-2100) is not a double
@@ -266,6 +281,17 @@ class TestUnifHypotheses:
         finally:
             tracemalloc.stop()
         assert peak < pair_grid_bytes
+
+    def test_pair_grid_guard_allocates_nothing(self):
+        # the (n, k) grid size comes from the integers, before any array exists
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="grid too large"):
+                unif_exp_alpha_params(n_max=2 * 10**6, k_max=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_exp_alpha_passes(self):
         rep = check_unif_hypotheses(WeightFamily.exp_alpha(0.4), unif_exp_alpha_params())
