@@ -34,6 +34,7 @@ from .weights import (
     LipschitzProfile,
     WeightFamily,
     _max_slope,
+    log_cum_chunks,
     log_cum_prefix,
     log_cum_window,
     log_cum_windows,
@@ -375,59 +376,65 @@ def check_corollary_hypotheses(
 
     Variant 1: D1*n**alpha-Lipschitz window sums plus growth floor
     D2*exp(D3*n**alpha).  Variant 2: D1*log(n)-Lipschitz plus growth floor
-    D2*n**gamma.  Both bullets are verified on the grid for N <= n <= n_max.
+    D2*n**gamma.  Both bullets are verified on the grid for N <= n <= n_max,
+    scanned in blocks: memory is O(len(grid) * block) for any N and n_max.
+    The constants used must be finite and positive.
     """
     grid = sorted(set(float(a) for a in I0_grid))
     if len(grid) < 2:
         raise ValueError("I0 grid needs at least 2 distinct points")
     if N < 1 or n_max < N:
         raise ValueError("need 1 <= N <= n_max")
-    D1 = float(constants["D1"])
-    D2 = float(constants["D2"])
-    if D1 <= 0.0 or D2 <= 0.0:
-        raise ValueError("constants must be positive")
-    nsf = np.arange(N, n_max + 1, dtype=np.float64)
 
+    def positive(name, value):
+        value = float(value)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"constants must be finite and positive; got {name} = {value!r}")
+        return value
+
+    D1 = positive("D1", constants["D1"])
+    log_D2 = math.log(positive("D2", constants["D2"]))
     if variant == 1:
         alpha = constants.get("alpha", fam.alpha)
         if alpha is None:
             raise ValueError("variant 1 needs alpha (from constants or the family)")
-        D3 = float(constants["D3"])
-        if D3 <= 0.0:
-            raise ValueError("constants must be positive")
-        lip_bound = D1 * nsf**alpha
-        growth_floor = math.log(D2) + D3 * nsf**alpha
+        c_growth = positive("D3", constants["D3"])
+        alpha = positive("alpha", alpha)
     elif variant == 2:
-        gamma = float(constants["gamma"])
-        if gamma <= 0.0:
-            raise ValueError("constants must be positive")
-        lip_bound = D1 * np.log(nsf)
-        growth_floor = math.log(D2) + gamma * np.log(nsf)
+        c_growth = positive("gamma", constants["gamma"])
     else:
         raise ValueError(f"variant must be 1 or 2, got {variant}")
 
-    # one prefix per grid point serves both bullets; two are held at a time
-    fmin = np.full(len(nsf), math.inf)
+    # one chunked prefix scan per grid point serves both bullets, block by
+    # block; strict comparisons keep the first worst n, as argmax/argmin do
+    scans = [log_cum_chunks(fam, a, N, n_max) for a in grid]
+    lip = grw = None
+    n0 = N
+    for rows in zip(*scans):
+        nsf = np.arange(n0, n0 + len(rows[0]), dtype=np.float64)
+        g = nsf**alpha if variant == 1 else np.log(nsf)
+        lip_bound = D1 * g
+        growth_floor = log_D2 + c_growth * g
+        ratios = _max_slope(grid, rows)
+        diff = ratios - lip_bound
+        w = int(np.argmax(diff))
+        if lip is None or diff[w] > lip[0]:
+            lip = (diff[w], ratios[w], lip_bound[w], n0 + w)
+        fmin = functools.reduce(np.minimum, rows)
+        gdiff = fmin - growth_floor
+        w = int(np.argmin(gdiff))
+        if grw is None or gdiff[w] < grw[0]:
+            grw = (gdiff[w], fmin[w], growth_floor[w], n0 + w)
+        n0 += len(nsf)
 
-    def rows():
-        for a in grid:
-            row = log_cum_prefix(fam, a, n_max)[N:]
-            np.minimum(fmin, row, out=fmin)
-            yield row
-
-    ratios = _max_slope(grid, rows())
-    diff = ratios - lip_bound
-    w = int(np.argmax(diff))
+    count = n_max - N + 1
     lip = CheckResult(
-        bool(diff[w] <= 0.0), float(ratios[w]), float(lip_bound[w]),
-        witness={"n": N + w}, evaluations=len(nsf))
-
+        bool(lip[0] <= 0.0), float(lip[1]), float(lip[2]),
+        witness={"n": lip[3]}, evaluations=count)
     # growth floor: min over the grid of the log cumulative product
-    gdiff = fmin - growth_floor
-    w = int(np.argmin(gdiff))
     grw = CheckResult(
-        bool(gdiff[w] >= 0.0), float(fmin[w]), float(growth_floor[w]),
-        sense="floor", witness={"n": N + w}, evaluations=len(grid) * len(nsf),
+        bool(grw[0] >= 0.0), float(grw[1]), float(grw[2]),
+        sense="floor", witness={"n": grw[3]}, evaluations=len(grid) * count,
         note="log of the cumulative product against the log of the floor")
 
     meta = {"family": fam.to_json_dict(), "variant": variant, "N": N, "n_max": n_max,

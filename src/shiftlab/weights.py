@@ -28,10 +28,11 @@ Families:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +54,10 @@ _TABLE_MAX = 1 << 16
 _FSUM_MAX = 1 << 21
 # Stirling's series for log Gamma ratios is used from this argument on.
 _STIRLING_MIN = 1 << 14
+# Block of log_cum_chunks.  glibc keeps freed heap, so it sets the peak: the
+# benchmark's two n_max 1e6 corollary jobs peaked at 36 MB RSS with 2**14,
+# 45 MB with 2**16, 75 MB with 2**18 and 111 MB with whole prefixes.
+_CHUNK = 1 << 14
 
 
 class InadmissibleParameterError(ValueError):
@@ -142,16 +147,19 @@ def log_weight(fam: WeightFamily, lam: float, n: int) -> float:
 # -- affine window machinery --------------------------------------------------
 
 
+def _affine_terms(alpha: float, lam: float, idx: np.ndarray) -> np.ndarray:
+    """The terms log1p(lam / i**(1-alpha)) for the float indices i, in place in idx."""
+    if alpha:
+        np.power(idx, 1.0 - alpha, out=idx)
+    return np.log1p(np.divide(lam, idx, out=idx), out=idx)
+
+
 def _affine_fsum_window(alpha: float, lam: float, l: int, n: int) -> float:
     """math.fsum per chunk of at most _FSUM_MAX terms, then fsum of the chunk sums."""
     sums = []
     for start in range(l + 1, l + n + 1, _FSUM_MAX):
         idx = np.arange(start, min(start + _FSUM_MAX, l + n + 1), dtype=np.float64)
-        if alpha == 0.0:
-            terms = np.log1p(lam / idx)
-        else:
-            terms = np.log1p(lam / idx ** (1.0 - alpha))
-        sums.append(math.fsum(terms.tolist()))
+        sums.append(math.fsum(_affine_terms(alpha, lam, idx).tolist()))
     return math.fsum(sums)
 
 
@@ -181,10 +189,7 @@ def _affine_prefix_table(alpha: float, lam: float, size: int):
     float64 buffers (at most 1 MB per table); lru_cache keeps the memo
     bounded and safe to share between threads.
     """
-    t = np.arange(1, size, dtype=np.float64)
-    if alpha != 0.0:
-        np.power(t, 1.0 - alpha, out=t)
-    np.log1p(np.divide(lam, t, out=t), out=t)
+    t = _affine_terms(alpha, lam, np.arange(1, size, dtype=np.float64))
     s = np.zeros(size)
     np.cumsum(t, out=s[1:])
     z = s[1:] - s[:-1]
@@ -244,30 +249,50 @@ def log_cum_prefix(fam: WeightFamily, lam: float, upto: int) -> np.ndarray:
     """Array P with P[n] = log_cum_window(fam, lam, 0, n) for n = 0..upto.
 
     Closed forms are exact; the affine family uses a vectorized cumulative
-    sum, adequate for checker margins (absolute error ~ n * eps).
+    sum, adequate for checker margins (absolute error ~ n * eps).  This is
+    the one-block case of log_cum_chunks.
     """
-    lam = _require_admissible(fam, lam)
     if upto < 0:
         raise ValueError("prefix length must be nonnegative")
-    v = fam.variant
-    ns = np.arange(upto + 1, dtype=np.float64)
-    if v == "pure_power":
-        out = np.zeros(upto + 1)
-        if upto >= 1:
-            out[1:] = lam * np.log(ns[1:])
-        return out
-    if v == "exp_alpha":
-        return lam * ns**fam.alpha
-    if v == "power_ratio":
-        return lam * np.log(ns + 1.0)
-    if v == "geometric":
-        return ns * math.log(lam)
-    idx = ns[1:]
-    terms = np.log1p(lam / idx ** (1.0 - fam.alpha)) if fam.alpha else np.log1p(lam / idx)
-    out = np.empty(upto + 1)
-    out[0] = 0.0
-    np.cumsum(terms, out=out[1:])
-    return out
+    return next(log_cum_chunks(fam, lam, 0, upto, upto + 1))
+
+
+def log_cum_chunks(
+    fam: WeightFamily, lam: float, lo: int, hi: int, block: int = _CHUNK
+) -> Iterator[np.ndarray]:
+    """Yield P[lo..hi] of log_cum_prefix in blocks of ``block`` entries from lo on.
+
+    Closed forms are elementwise.  The affine family prepends a block's last
+    prefix value to the next block's cumsum; np.add.accumulate adds in
+    sequence, so each entry has the bits of one cumsum over 1..hi.  Terms
+    below lo are summed in blocks too: memory is O(block) for any lo.  Affine
+    blocks are views of one reused buffer: use each before asking for the next.
+    """
+    lam = _require_admissible(fam, lam)
+    closed = {"pure_power": lambda ns: lam * np.log(np.maximum(ns, 1.0)),
+              "exp_alpha": lambda ns: lam * ns**fam.alpha,
+              "power_ratio": lambda ns: lam * np.log(ns + 1.0),
+              "geometric": lambda ns: ns * math.log(lam)}.get(fam.variant)
+    if closed:
+        for s in range(lo, hi + 1, block):
+            yield closed(np.arange(s, min(s + block, hi + 1), dtype=np.float64))
+        return
+    # buffers of at most hi + 1 terms; out[0] carries P[s - 1] (P[-1] = 0) and
+    # out[1:] takes the terms k..e-1, k = max(s, 1), so s = 0 keeps its P[0]
+    block = min(block, hi + 1)
+    buf = np.empty(block + 1)
+    carry = 0.0
+    for s in itertools.chain(range(1, lo, block), range(lo, hi + 1, block)):
+        e = min(s + block, lo if s < lo else hi + 1)
+        k = max(s, 1)
+        out = buf[:e - k + 1]
+        out[1:] = np.arange(k, e, dtype=np.float64)
+        _affine_terms(fam.alpha, lam, out[1:])
+        out[0] = carry
+        np.cumsum(out, out=out)
+        carry = out[-1]
+        if s >= lo:
+            yield out[1 if s else 0:]
 
 
 def log_cum_windows(
@@ -373,15 +398,16 @@ def lipschitz_ratio_profile(
 def _max_slope(pts: Sequence[float], rows: Iterable[np.ndarray]) -> np.ndarray:
     """Elementwise max over pairs i < j of |rows[j] - rows[i]| / (pts[j] - pts[i]).
 
-    ``pts`` are sorted and distinct, and ``rows`` may be an iterator: only
-    neighbouring chords are taken, so two rows are held at a time.  They carry
-    the maximum, since the chord over [p_i, p_j] is the mean of the
-    neighbouring chords it spans weighted by their lengths, and a mean is at
-    most the largest of its terms.  In floating point the result is never
-    above the all-pairs maximum.  It has the same bits wherever pts[-1] <=
-    2 * pts[0] and the row values at each index lie within a factor of two of
-    each other: every subtraction is then exact (Sterbenz), and rounding the
-    quotient is monotone, so no chord rounds above its largest neighbour.
+    ``pts`` are sorted and distinct; ``rows`` holds one block of each point's
+    values per call and may be an iterator: only neighbouring chords are
+    taken, so two rows are held at a time.  They carry the maximum, since the
+    chord over [p_i, p_j] is the mean of the neighbouring chords it spans
+    weighted by their lengths, and a mean is at most the largest of its terms.
+    In floating point the result is never above the all-pairs maximum.  It
+    has the same bits wherever pts[-1] <= 2 * pts[0] and the row values at
+    each index lie within a factor of two of each other: every subtraction is
+    then exact (Sterbenz), and rounding the quotient is monotone, so no chord
+    rounds above its largest neighbour.
     """
     rows = iter(rows)
     prev, best = next(rows), 0.0

@@ -524,3 +524,16 @@ class TestSchemas:
             schema = _schema_for(cmd)
             assert schema["type"] == "object"
 
+    def test_every_schema_is_draft07(self):
+        # a 2020-12 declaration made each validate call check the schema
+        # against the 2020-12 metaschema, about 4x the cost of draft-07
+        from importlib import resources
+
+        from jsonschema import Draft7Validator
+        files = [f for f in resources.files("shiftlab.schemas").iterdir()
+                 if f.name.endswith(".schema.json")]
+        assert len(files) == 10
+        for f in files:
+            schema = json.loads(f.read_text())
+            assert schema["$schema"] == "http://json-schema.org/draft-07/schema#", f.name
+            Draft7Validator.check_schema(schema)

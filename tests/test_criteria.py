@@ -365,6 +365,29 @@ class TestUnifHypotheses:
             rep.conditions["iii.growth"].achieved)
 
 
+def corollary_oracle(fam, grid, variant, constants, N, n_max):
+    """Both corollary bullets from whole prefixes to n_max, all held at once."""
+    grid = sorted(grid)
+    rows = [weights.log_cum_prefix(fam, a, n_max)[N:] for a in grid]
+    ns = np.arange(N, n_max + 1, dtype=np.float64)
+    if variant == 1:
+        g, c = ns ** constants["alpha"], constants["D3"]
+    else:
+        g, c = np.log(ns), constants["gamma"]
+    lip_bound = constants["D1"] * g
+    floor = math.log(constants["D2"]) + c * g
+    ratios = weights._max_slope(grid, rows)
+    fmin = np.min(rows, axis=0)
+    w = int(np.argmax(ratios - lip_bound))
+    v = int(np.argmin(fmin - floor))
+    return {
+        "lipschitz": (bool(ratios[w] - lip_bound[w] <= 0.0), float(ratios[w]),
+                      float(lip_bound[w]), {"n": N + w}, len(ns)),
+        "growth": (bool(fmin[v] - floor[v] >= 0.0), float(fmin[v]), float(floor[v]),
+                   {"n": N + v}, len(grid) * len(ns)),
+    }
+
+
 class TestCorollaryHypotheses:
     GRID_12 = np.linspace(1.0, 2.0, 9).tolist()
     GRID_23 = np.linspace(2.0, 3.0, 9).tolist()
@@ -406,18 +429,17 @@ class TestCorollaryHypotheses:
                                        {"D1": 1.0, "D2": 1.0}, 5, 100)
 
     def test_one_prefix_per_grid_point(self, monkeypatch):
-        # the shipped example: 9 grid points, each prefix serves both bullets
+        # the shipped example: 9 grid points, each prefix scan serves both bullets
         ex = json.loads((EXAMPLES / "corollary_check.json").read_text())
         grid = np.linspace(ex["I0"]["lo"], ex["I0"]["hi"], ex["I0"]["points"]).tolist()
         calls = []
-        prefix = weights.log_cum_prefix
+        chunks = weights.log_cum_chunks
 
-        def counted(fam, lam, upto):
+        def counted(fam, lam, lo, hi):
             calls.append(lam)
-            return prefix(fam, lam, upto)
+            return chunks(fam, lam, lo, hi)
 
-        monkeypatch.setattr(weights, "log_cum_prefix", counted)
-        monkeypatch.setattr(criteria, "log_cum_prefix", counted)
+        monkeypatch.setattr(criteria, "log_cum_chunks", counted)
         rep = check_corollary_hypotheses(
             WeightFamily.from_json_dict(ex["family"]), grid, ex["variant"],
             ex["constants"], ex["N"], ex["n_max"])
@@ -437,6 +459,52 @@ class TestCorollaryHypotheses:
         finally:
             tracemalloc.stop()
         assert peak < 12 * prefix_bytes
+
+    def test_memory_does_not_grow_with_n_max(self):
+        # one block per grid point plus block-sized temporaries, for any n_max
+        # and N; whole prefixes to 2e6 would take 9 x 16 MB
+        block_bytes = 8 * weights._CHUNK
+        for N, n_max in ((5, 2_000_000), (1_000_000, 1_000_010)):
+            tracemalloc.start()
+            try:
+                check_corollary_hypotheses(
+                    AFF0, self.GRID_12, 2, {"D1": 1.0, "D2": 1.0, "gamma": 1.0}, N, n_max)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * len(self.GRID_12) * block_bytes
+
+    @pytest.mark.parametrize("name", ["D1", "D2", "D3", "alpha", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_constants_must_be_finite_and_positive(self, name, value):
+        variant = 2 if name == "gamma" else 1
+        constants = ({"D1": 1.0, "D2": 1.0, "D3": 1.0, "alpha": 0.5} if variant == 1
+                     else {"D1": 1.0, "D2": 1.0, "gamma": 1.0})
+        constants[name] = value
+        with pytest.raises(ValueError, match=f"finite and positive; got {name} = "):
+            check_corollary_hypotheses(PP, self.GRID_12, variant, constants, 5, 100)
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    @pytest.mark.parametrize("fam", [
+        AFF0, WeightFamily.affine(0.4), PP, WeightFamily.exp_alpha(0.5),
+        WeightFamily.power_ratio(), GEO],
+        ids=lambda f: f"{f.variant}{'' if f.alpha is None else f.alpha}")
+    def test_blocks_match_the_full_prefix(self, fam, variant):
+        # scans of block - 1, block, block + 1 and 3 * block + 7 entries, from
+        # N in the first block and above it; pure_power meets D1 * log(n) up to
+        # rounding, so its worst n lies inside a block
+        B = weights._CHUNK
+        constants = ({"D1": 1.0, "D2": 1.0, "D3": 0.5, "alpha": 0.5} if variant == 1
+                     else {"D1": 1.0, "D2": 1.0, "gamma": 1.0})
+        for points, N, span in itertools.product(
+                (2, 12), (1, 5, B + 3), (B - 1, B, B + 1, 3 * B + 7)):
+            grid = np.linspace(1.0, 2.0, points).tolist()
+            n_max = N + span - 1
+            rep = check_corollary_hypotheses(fam, grid, variant, constants, N, n_max)
+            want = corollary_oracle(fam, grid, variant, constants, N, n_max)
+            for name, c in rep.conditions.items():
+                got = (c.passed, c.achieved, c.bound, c.witness, c.evaluations)
+                assert got == want[name], (name, points, N, n_max)
 
 
 class TestCaracConditions:
