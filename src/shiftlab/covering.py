@@ -334,8 +334,8 @@ class CheckResult:
     ``sense`` says which side of the bound passes: 'ceiling' needs
     achieved <= bound, 'floor' needs achieved >= bound.  ``margin`` is the
     slack toward the bound and is nonnegative exactly when the check passes.
-    ``evaluations`` counts the points a checker sampled; it is written only
-    when set.
+    ``evaluations`` counts the grid points a verdict covers, all of them for
+    a floor read at the grid's least point; it is written only when set.
     """
 
     passed: bool

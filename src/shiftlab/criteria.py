@@ -29,11 +29,12 @@ import numpy as np
 
 from .covering import CheckResult, Covering, CriterionReport, box_union_covers, as_box
 from .lognum import logsumexp
-from .seqspace import _TINY, L1, ProductKind, SeqVec, SpaceNorm, _norm, cw_root, norm
+from .seqspace import _TINY, L1, SeqVec, SpaceNorm, _norm, cw_root, norm
 from .weights import (
     LipschitzProfile,
     WeightFamily,
     _max_slope,
+    lipschitz_ratio_profile,
     log_cum_chunks,
     log_cum_prefix,
     log_cum_window,
@@ -80,6 +81,14 @@ def _norm_from_logcoeffs(logcs: Sequence[float], n: SpaceNorm) -> float:
     return math.exp(logsumexp([n.p * c for c in logcs]) / n.p)
 
 
+def _positive(name: str, value) -> float:
+    """``value`` as a float; raises ValueError unless it is finite and positive."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"constants must be finite and positive; got {name} = {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # basic criterion for algebras
 # ---------------------------------------------------------------------------
@@ -94,7 +103,6 @@ def check_basic_criterion(
     eps: float,
     samples_per_axis: int = 3,
     space_norm: SpaceNorm = L1,
-    product_kind: ProductKind = ProductKind.COORDINATEWISE,
     region=None,
 ) -> CriterionReport:
     """Evaluate the four displayed norms of the algebra criterion on a covering.
@@ -105,8 +113,6 @@ def check_basic_criterion(
     condition.  Condition I (the cover itself) is delegated to the covering's
     union check and only evaluated when ``region`` is supplied.
     """
-    if product_kind is not ProductKind.COORDINATEWISE:
-        raise ValueError("check_basic_criterion supports the coordinatewise product only")
     _require_fnorm_bullets(space_norm)
     fams = tuple(fams)
     v = tuple(v)
@@ -253,9 +259,8 @@ class UnifParams:
         if not (self.beta > self.alpha * self.d):
             raise ValueError(
                 f"beta must exceed alpha*d = {self.alpha * self.d}; got {self.beta}")
-        for name in ("C1", "C2", "M0"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("C1", "C2", "M0", "divergence_threshold"):
+            _positive(name, getattr(self, name))
         if self.N0 < 1 or self.n_max < self.N0 or self.k_max < self.N0:
             raise ValueError("need 1 <= N0 <= n_max and N0 <= k_max")
         if not (self.I0_lo > 0.0 and self.I0_hi >= self.I0_lo):
@@ -280,22 +285,20 @@ def check_unif_hypotheses(
     (i) grid Lipschitz ratios against F(n); (ii) divergence probe of the
     cumulative products at k_max (a finite check cannot certify divergence,
     so the report labels it a probe); (iii) the two displayed inequalities
-    against M0/k**beta for all admitted (n, k) pairs, in log domain.  The
-    growth display depends on n only through n + k, so (iii) takes the worst
-    n per k as a window max and holds O(n_max + k_max) floats per grid
-    point; only ``collect_table`` materializes the (n, k) margins.
+    against M0/k**beta for all admitted (n, k) pairs, in log domain.  Every
+    family's log cumulative product is nondecreasing in lambda, so (ii) and
+    (iii) are worst over I0 at its least point and read one prefix there.
+    The growth display depends on n only through n + k, so (iii) takes the
+    worst n per k as a window max: memory is O(n_max + k_max); only
+    ``collect_table`` materializes the (n, k) margins.
     """
     grid = p.grid()
+    lo = float(grid[0])
     ns = np.arange(p.N0, p.n_max + 1, dtype=np.int64)
     ks = np.arange(p.N0, p.k_max + 1, dtype=np.int64)
     conds: Dict[str, CheckResult] = {}
 
-    # one prefix per distinct grid point serves (i) and (iii)
-    pts = sorted(set(grid.tolist()))
-    if len(pts) < 2:
-        raise ValueError("need at least 2 distinct grid points")
-    prefs = {a: log_cum_prefix(fam, a, max(p.n_max, p.k_max)) for a in pts}
-    ratios = _max_slope(pts, (prefs[a][ns] for a in pts))
+    ratios = lipschitz_ratio_profile(fam, grid, ns)
     fn = np.asarray(p.F(ns), dtype=np.float64)
     diff = ratios - fn
     w = int(np.argmax(diff))
@@ -303,16 +306,15 @@ def check_unif_hypotheses(
         bool(diff[w] <= 0.0), float(ratios[w]), float(fn[w]),
         witness={"n": int(ns[w])}, evaluations=len(ns))
 
-    # (ii) divergence probe: smallest cumulative product at k_max over the grid
-    fk_last = np.asarray([log_cum_window(fam, a, 0, p.k_max) for a in grid])
-    w = int(np.argmin(fk_last))
+    # (ii) divergence probe: the cumulative product at k_max, least at lo
+    fk_last = log_cum_window(fam, lo, 0, p.k_max)
     conds["ii"] = CheckResult(
-        bool(fk_last[w] >= math.log(p.divergence_threshold)),
-        float(fk_last[w]), math.log(p.divergence_threshold), sense="floor",
-        witness={"a": float(grid[w]), "k": p.k_max}, evaluations=len(grid),
+        fk_last >= math.log(p.divergence_threshold),
+        fk_last, math.log(p.divergence_threshold), sense="floor",
+        witness={"a": lo, "k": p.k_max}, evaluations=len(grid),
         note="probe, not proof: log of the cumulative product at k_max")
 
-    # (iii) both tail displays, worst over (n, k, a), log domain.  The growth
+    # (iii) both tail displays, worst over (n, k), log domain.  The growth
     # display c_k * h(n + k), c_k = C2*k**alpha and h(s) = F(s)/s**alpha, sees
     # n only through s: row k - N0 of the window view holds h(k+N0..k+n_max).
     # Scaling by c_k > 0 and subtracting are monotone in floating point, so
@@ -322,37 +324,35 @@ def check_unif_hypotheses(
     win = np.lib.stride_tricks.sliding_window_view(h, len(ns))
     ck = p.C2 * ks.astype(np.float64) ** p.alpha
     log_rhs = math.log(p.M0) - p.beta * np.log(ks.astype(np.float64))
-    fk = np.stack([prefs[a][ks] for a in grid.tolist()])  # (grid point, k)
+    fk = log_cum_prefix(fam, lo, p.k_max)[ks]
     m1 = (ck * win.max(axis=1) - fk) - log_rhs
     m2 = (-fk / p.m_prime) - log_rhs
 
-    # witnesses: the first grid point, then the first (n, k) in n-major order;
-    # only the columns tying for the maximum are rescanned (rounding ties n)
-    g = int(np.argmax(m1.max(axis=1)))
-    top = m1[g].max()
-    cols = np.flatnonzero(m1[g] == top)
-    hit = ((ck[cols, None] * win[cols] - fk[g, cols, None]) - log_rhs[cols, None]).T == top
+    # witness: the first (n, k) in n-major order; only the columns tying for
+    # the maximum are rescanned (rounding ties n)
+    top = m1.max()
+    cols = np.flatnonzero(m1 == top)
+    hit = ((ck[cols, None] * win[cols] - fk[cols, None]) - log_rhs[cols, None]).T == top
     i, j = np.unravel_index(int(np.argmax(hit)), hit.shape)
     conds["iii.growth"] = CheckResult(
         bool(top <= 0.0), float(top), 0.0,
-        witness={"n": int(ns[i]), "k": int(ks[cols[j]]), "a": float(grid[g])},
+        witness={"n": int(ns[i]), "k": int(ks[cols[j]]), "a": lo},
         evaluations=len(grid) * len(ns) * len(ks),
         note="log-domain margin of the growth display against M0/k**beta")
-    g, j = np.unravel_index(int(np.argmax(m2)), m2.shape)
+    j = int(np.argmax(m2))
     conds["iii.root"] = CheckResult(
-        bool(m2[g, j] <= 0.0), float(m2[g, j]), 0.0,
-        witness={"k": int(ks[j]), "a": float(grid[g])},
+        bool(m2[j] <= 0.0), float(m2[j]), 0.0,
+        witness={"k": int(ks[j]), "a": lo},
         evaluations=len(grid) * len(ks),
         note="log-domain margin of the 1/m'-root display against M0/k**beta")
 
     meta = {"family": fam.to_json_dict(), "m_prime": p.m_prime, "alpha": p.alpha,
             "beta": p.beta, "M0": p.M0, "N0": p.N0, "n_max": p.n_max, "k_max": p.k_max}
     if collect_table:
-        # per-(n, k) margins, worst over the parameter grid, hence at its least
-        # prefix; the root display carries no n dependence and repeats along rows
-        fmin = fk.min(axis=0)
-        t1 = ((ck[:, None] * win - fmin[:, None]) - log_rhs[:, None]).T.tolist()
-        t2 = ((-fmin / p.m_prime) - log_rhs).tolist()
+        # per-(n, k) margins at lo, the worst over I0; the root display carries
+        # no n dependence and repeats along rows
+        t1 = ((ck[:, None] * win - fk[:, None]) - log_rhs[:, None]).T.tolist()
+        t2 = m2.tolist()
         meta["table"] = [{"n": n, "k": k, "log_margin_growth": t1[i][j],
                           "log_margin_root": t2[j]}
                          for i, n in enumerate(ns.tolist()) for j, k in enumerate(ks.tolist())]
@@ -376,8 +376,9 @@ def check_corollary_hypotheses(
 
     Variant 1: D1*n**alpha-Lipschitz window sums plus growth floor
     D2*exp(D3*n**alpha).  Variant 2: D1*log(n)-Lipschitz plus growth floor
-    D2*n**gamma.  Both bullets are verified on the grid for N <= n <= n_max,
-    scanned in blocks: memory is O(len(grid) * block) for any N and n_max.
+    D2*n**gamma.  Both bullets are verified for N <= n <= n_max, scanned in
+    blocks: memory is O(len(grid) * block) for any N and n_max.  The growth
+    floor is read at the least grid point, where every family is least.
     The constants used must be finite and positive.
     """
     grid = sorted(set(float(a) for a in I0_grid))
@@ -386,22 +387,16 @@ def check_corollary_hypotheses(
     if N < 1 or n_max < N:
         raise ValueError("need 1 <= N <= n_max")
 
-    def positive(name, value):
-        value = float(value)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"constants must be finite and positive; got {name} = {value!r}")
-        return value
-
-    D1 = positive("D1", constants["D1"])
-    log_D2 = math.log(positive("D2", constants["D2"]))
+    D1 = _positive("D1", constants["D1"])
+    log_D2 = math.log(_positive("D2", constants["D2"]))
     if variant == 1:
         alpha = constants.get("alpha", fam.alpha)
         if alpha is None:
             raise ValueError("variant 1 needs alpha (from constants or the family)")
-        c_growth = positive("D3", constants["D3"])
-        alpha = positive("alpha", alpha)
+        c_growth = _positive("D3", constants["D3"])
+        alpha = _positive("alpha", alpha)
     elif variant == 2:
-        c_growth = positive("gamma", constants["gamma"])
+        c_growth = _positive("gamma", constants["gamma"])
     else:
         raise ValueError(f"variant must be 1 or 2, got {variant}")
 
@@ -420,18 +415,17 @@ def check_corollary_hypotheses(
         w = int(np.argmax(diff))
         if lip is None or diff[w] > lip[0]:
             lip = (diff[w], ratios[w], lip_bound[w], n0 + w)
-        fmin = functools.reduce(np.minimum, rows)
-        gdiff = fmin - growth_floor
+        gdiff = rows[0] - growth_floor  # least at the least grid point
         w = int(np.argmin(gdiff))
         if grw is None or gdiff[w] < grw[0]:
-            grw = (gdiff[w], fmin[w], growth_floor[w], n0 + w)
+            grw = (gdiff[w], rows[0][w], growth_floor[w], n0 + w)
         n0 += len(nsf)
 
     count = n_max - N + 1
     lip = CheckResult(
         bool(lip[0] <= 0.0), float(lip[1]), float(lip[2]),
         witness={"n": lip[3]}, evaluations=count)
-    # growth floor: min over the grid of the log cumulative product
+    # growth floor: the log cumulative product at the grid's least point
     grw = CheckResult(
         bool(grw[0] >= 0.0), float(grw[1]), float(grw[2]),
         sense="floor", witness={"n": grw[3]}, evaluations=len(grid) * count,

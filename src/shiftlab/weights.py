@@ -18,6 +18,10 @@ terms (or mpmath) in tests/test_weights.py:
               terms, then fsum of the chunk sums; one chunk (n <= _FSUM_MAX)
               is correctly rounded, several are within a few ulp
 
+Windows and prefixes are nondecreasing in lam as computed, which the
+checkers rely on to read floors at the least parameter point; the Stirling
+path keeps this for lam spacings from 1e-12 relative, not one ulp apart.
+
 Families:
     affine(alpha):   w_n(lam) = 1 + lam / n**(1-alpha),  alpha in [0, 1)
     pure_power:      w_1(lam)...w_n(lam) = n**lam

@@ -80,12 +80,6 @@ class TestBasicCriterion:
         assert rep.overall, {k: (c.passed, c.achieved) for k, c in rep.conditions.items()}
         assert rep.conditions["III"].evaluations > 0
 
-    def test_coordinatewise_only(self):
-        cov, K = single_cell_cov()
-        with pytest.raises(ValueError, match="coordinatewise"):
-            check_basic_criterion((AFF0, AFF0), cov, (basis(0), basis(0)), 1, 1, 0.5,
-                                  product_kind=ProductKind.CONVOLUTION)
-
     def test_negative_target_rejected(self):
         cov, K = single_cell_cov()
         with pytest.raises(ValueError, match="negative"):
@@ -333,7 +327,7 @@ class TestUnifHypotheses:
             unif_exp_alpha_params(beta=0.5)
 
     def test_one_prefix_per_grid_point(self, monkeypatch):
-        # 9 grid points; each prefix serves (i) to n_max and (iii) to k_max
+        # 9 grid points: (i) reads each to n_max, (iii) reads I0's least point to k_max
         p = unif_exp_alpha_params()
         calls = []
         prefix = weights.log_cum_prefix
@@ -345,7 +339,26 @@ class TestUnifHypotheses:
         monkeypatch.setattr(weights, "log_cum_prefix", counted)
         monkeypatch.setattr(criteria, "log_cum_prefix", counted)
         check_unif_hypotheses(WeightFamily.affine(0.4), p)
-        assert sorted(calls) == [(a, p.k_max) for a in p.grid().tolist()]
+        grid = p.grid().tolist()
+        assert calls == [(a, p.n_max) for a in grid] + [(p.I0_lo, p.k_max)]
+
+    def test_memory_is_a_few_floats_per_index(self):
+        # one prefix at I0's least point, to k_max, plus arrays of n_max + k_max
+        # values; a prefix per grid point to k_max would take 9 of them
+        p = unif_exp_alpha_params(N0=50, n_max=59, k_max=200_000)
+        tracemalloc.start()
+        try:
+            check_unif_hypotheses(WeightFamily.affine(0.4), p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * (p.n_max + p.k_max)
+
+    @pytest.mark.parametrize("name", ["C1", "C2", "M0", "divergence_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_constants_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"finite and positive; got {name} = "):
+            unif_exp_alpha_params(**{name: value})
 
     def test_needs_two_distinct_grid_points(self):
         with pytest.raises(ValueError, match="2 distinct grid points"):

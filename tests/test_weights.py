@@ -210,13 +210,49 @@ class TestWindowAdditivity:
         assert whole == pytest.approx(split, rel=1e-10)
 
 
+MONOTONE_FAMILIES = [
+    AFFINE0, WeightFamily.affine(0.4), WeightFamily.affine(0.9), PP,
+    WeightFamily.exp_alpha(0.4), WeightFamily.exp_alpha(1.0), WeightFamily.power_ratio(), GEO]
+# 9-point grids of relative width 1, 1e-6 and 1e-12
+NARROW_GRIDS = [np.linspace(lo, lo * (1.0 + rel), 9).tolist()
+                for lo in (0.3, 1.0, 2.7) for rel in (1.0, 1e-6, 1e-12)]
+
+
+def family_id(fam):
+    return f"{fam.variant}{'' if fam.alpha is None else fam.alpha}"
+
+
 class TestMonotonicity:
+    # the checkers read floors and tail displays at I0's least point only
     @pytest.mark.parametrize("fam", [AFFINE0, WeightFamily.affine(0.3), PP,
                                      WeightFamily.exp_alpha(0.7), WeightFamily.power_ratio()])
     def test_nondecreasing_in_lambda(self, fam):
         lams = np.linspace(0.2, 4.0, 25)
         vals = [log_cum_window(fam, a, 3, 200) for a in lams]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("fam", MONOTONE_FAMILIES, ids=family_id)
+    def test_prefix_nondecreasing_on_narrow_grids(self, fam):
+        for grid in NARROW_GRIDS:
+            rows = [log_cum_prefix(fam, a, 5000) for a in grid]
+            assert all((b >= a).all() for a, b in zip(rows, rows[1:])), grid
+
+    @pytest.mark.parametrize("fam", MONOTONE_FAMILIES, ids=family_id)
+    def test_windows_nondecreasing_on_narrow_grids(self, fam):
+        # affine windows ending below 2**16 read the prefix table, the others fsum
+        for grid, (l, n) in itertools.product(
+                NARROW_GRIDS, ((0, 1), (0, 300), (7, 5000), (0, 70_000), (40_000, 30_000))):
+            vals = [log_cum_window(fam, a, l, n) for a in grid]
+            assert all(b >= a for a, b in zip(vals, vals[1:])), (grid, l, n)
+
+    def test_affine0_stirling_nondecreasing_at_1e12_spacing(self):
+        # not monotone one ulp apart: at lam = 0.34135186674448575, l = 0 and
+        # n = 3e6 it reads 5.205178984193148, and 5.2051789841931475 at the next double
+        for lo, rel, l in itertools.product(
+                (0.3, 0.34135186674448575, 1.0, 2.7), (8e-12, 8e-6, 1.0), (0, 1000)):
+            grid = np.linspace(lo, lo * (1.0 + rel), 9).tolist()
+            vals = [log_cum_window(AFFINE0, a, l, 3 * 10**6) for a in grid]
+            assert all(b >= a for a, b in zip(vals, vals[1:])), (lo, rel, l)
 
 
 class TestShifts:
