@@ -34,6 +34,8 @@ from .weights import (
     LipschitzProfile,
     WeightFamily,
     _max_slope,
+    _positive,
+    chord_points,
     lipschitz_ratio_profile,
     log_cum_chunks,
     log_cum_prefix,
@@ -81,14 +83,6 @@ def _norm_from_logcoeffs(logcs: Sequence[float], n: SpaceNorm) -> float:
     return math.exp(logsumexp([n.p * c for c in logcs]) / n.p)
 
 
-def _positive(name: str, value) -> float:
-    """``value`` as a float; raises ValueError unless it is finite and positive."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"constants must be finite and positive; got {name} = {value!r}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # basic criterion for algebras
 # ---------------------------------------------------------------------------
@@ -121,8 +115,8 @@ def check_basic_criterion(
         raise ValueError(f"need {d} weight families and {d} target vectors")
     if m_lo < 1 or m_hi < m_lo:
         raise ValueError("power range must satisfy 1 <= m_lo <= m_hi")
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"constants must be finite and nonnegative; got eps = {eps!r}")
     if samples_per_axis < 1:
         raise ValueError("samples_per_axis must be >= 1")
     for ax, vec in enumerate(v):
@@ -377,8 +371,10 @@ def check_corollary_hypotheses(
     Variant 1: D1*n**alpha-Lipschitz window sums plus growth floor
     D2*exp(D3*n**alpha).  Variant 2: D1*log(n)-Lipschitz plus growth floor
     D2*n**gamma.  Both bullets are verified for N <= n <= n_max, scanned in
-    blocks: memory is O(len(grid) * block) for any N and n_max.  The growth
-    floor is read at the least grid point, where every family is least.
+    blocks at the grid's chord points (weights.chord_points: the two least
+    for affine and geometric, every point otherwise): memory is
+    O(len(points) * block) for any N and n_max.  The growth floor is read at
+    the least grid point, where every family is least.
     The constants used must be finite and positive.
     """
     grid = sorted(set(float(a) for a in I0_grid))
@@ -400,9 +396,10 @@ def check_corollary_hypotheses(
     else:
         raise ValueError(f"variant must be 1 or 2, got {variant}")
 
-    # one chunked prefix scan per grid point serves both bullets, block by
+    # one chunked prefix scan per chord point serves both bullets, block by
     # block; strict comparisons keep the first worst n, as argmax/argmin do
-    scans = [log_cum_chunks(fam, a, N, n_max) for a in grid]
+    pts = chord_points(fam, grid)
+    scans = [log_cum_chunks(fam, a, N, n_max) for a in pts]
     lip = grw = None
     n0 = N
     for rows in zip(*scans):
@@ -410,7 +407,7 @@ def check_corollary_hypotheses(
         g = nsf**alpha if variant == 1 else np.log(nsf)
         lip_bound = D1 * g
         growth_floor = log_D2 + c_growth * g
-        ratios = _max_slope(grid, rows)
+        ratios = _max_slope(pts, rows)
         diff = ratios - lip_bound
         w = int(np.argmax(diff))
         if lip is None or diff[w] > lip[0]:
@@ -457,8 +454,8 @@ class CaracParams:
         object.__setattr__(self, "K", as_box(self.K))
         if self.m < 1:
             raise ValueError("m must be a positive integer")
-        if self.tau <= 0.0 or self.eps <= 0.0:
-            raise ValueError("tau and eps must be positive")
+        _positive("tau", self.tau)
+        _positive("eps", self.eps)
         if self.N < 1:
             raise ValueError("N must be a positive integer")
         if not (0.0 < self.c <= self.C):

@@ -21,6 +21,13 @@ terms (or mpmath) in tests/test_weights.py:
 Windows and prefixes are nondecreasing in lam as computed, which the
 checkers rely on to read floors at the least parameter point; the Stirling
 path keeps this for lam spacings from 1e-12 relative, not one ulp apart.
+affine and geometric log cumulative products are also strictly concave in
+lam, so the largest chord slope over a grid is the first one, between its
+two least points (chord_points).  As computed, the first chord has the bits
+of the largest neighbouring chord on grids with hi/lo - 1 from 1e-4 to 30
+(tests/test_weights.py, tests/test_criteria.py); below about 1e-5 rounding
+can outweigh the concavity gap, and the first chord may read below the
+largest.
 
 Families:
     affine(alpha):   w_n(lam) = 1 + lam / n**(1-alpha),  alpha in [0, 1)
@@ -122,6 +129,14 @@ class WeightFamily:
         return cls(obj["variant"], obj.get("alpha"))
 
 
+def _positive(name: str, value) -> float:
+    """``value`` as a float; raises ValueError unless it is finite and positive."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"constants must be finite and positive; got {name} = {value!r}")
+    return value
+
+
 def _require_admissible(fam: WeightFamily, lam: float) -> float:
     lam = float(lam)
     if not (lam > 0.0) or not math.isfinite(lam):
@@ -159,11 +174,17 @@ def _affine_terms(alpha: float, lam: float, idx: np.ndarray) -> np.ndarray:
 
 
 def _affine_fsum_window(alpha: float, lam: float, l: int, n: int) -> float:
-    """math.fsum per chunk of at most _FSUM_MAX terms, then fsum of the chunk sums."""
+    """math.fsum per chunk of at most _FSUM_MAX terms, then fsum of the chunk sums.
+
+    Each chunk reaches fsum as Python floats _CHUNK at a time, in order, so
+    memory is one float64 chunk and fsum sees the sequence of one whole list.
+    """
     sums = []
     for start in range(l + 1, l + n + 1, _FSUM_MAX):
         idx = np.arange(start, min(start + _FSUM_MAX, l + n + 1), dtype=np.float64)
-        sums.append(math.fsum(_affine_terms(alpha, lam, idx).tolist()))
+        t = _affine_terms(alpha, lam, idx)
+        sums.append(math.fsum(itertools.chain.from_iterable(
+            t[i:i + _CHUNK].tolist() for i in range(0, len(t), _CHUNK))))
     return math.fsum(sums)
 
 
@@ -379,11 +400,25 @@ def apply_forward_root_power(fam: WeightFamily, lam: float, m: int, N: int, x: S
     return SeqVec(out)
 
 
+def chord_points(fam: WeightFamily, pts: Sequence[float]) -> Sequence[float]:
+    """The points of the sorted, distinct grid ``pts`` that a Lipschitz ratio reads.
+
+    affine and geometric windows are strictly concave in lam (each term
+    log1p(lam / i**(1-alpha)), and log(lam), is), so the neighbouring chord
+    slopes decrease along the grid and the first one, over the two least
+    points, is the largest.  The other families are linear in lam: their
+    chords tie in exact arithmetic and _max_slope keeps the one rounding
+    favours, so every point is read.
+    """
+    return pts[:2] if fam.variant in ("affine", "geometric") else pts
+
+
 def lipschitz_ratio(fam: WeightFamily, grid: Sequence[float], l: int, n: int) -> float:
     """Largest difference quotient of a -> window(a, l, n) over grid pairs."""
     pts = sorted(set(float(a) for a in grid))
     if len(pts) < 2:
         raise ValueError("lipschitz_ratio needs at least 2 distinct grid points")
+    pts = chord_points(fam, pts)
     return float(_max_slope(pts, (np.array([log_cum_window(fam, a, l, n)]) for a in pts))[0])
 
 
@@ -394,6 +429,7 @@ def lipschitz_ratio_profile(
     pts = sorted(set(float(a) for a in grid))
     if len(pts) < 2:
         raise ValueError("need at least 2 distinct grid points")
+    pts = chord_points(fam, pts)
     n_values = np.asarray(n_values, dtype=np.int64)
     upto = int(n_values.max(initial=0))
     return _max_slope(pts, (log_cum_prefix(fam, a, upto)[n_values] for a in pts))
@@ -429,8 +465,7 @@ class LipschitzProfile:
     alpha: Optional[float] = None
 
     def __post_init__(self):
-        if self.D1 <= 0.0:
-            raise ValueError("profile scale D1 must be positive")
+        _positive("D1", self.D1)
         if self.kind == "power":
             if self.alpha is None or not (0.0 < self.alpha <= 1.0):
                 raise ValueError("power profile requires alpha in (0, 1]")

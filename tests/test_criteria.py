@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import random
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -72,6 +73,13 @@ class TestBasicCriterion:
                                     1, 1, eps=0.0, samples_per_axis=1)
         assert not rep.overall
         assert rep.conditions["II.a"].achieved > 0.0
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0])
+    def test_eps_must_be_finite_and_nonnegative(self, eps):
+        cov, K = single_cell_cov()
+        with pytest.raises(ValueError, match="finite and nonnegative; got eps = "):
+            check_basic_criterion((AFF0, AFF0), cov, (basis(0), basis(0)),
+                                  1, 1, eps=eps, samples_per_axis=1)
 
     def test_graded_two_dim_instance_passes(self):
         cov, K = graded_instance()
@@ -327,7 +335,8 @@ class TestUnifHypotheses:
             unif_exp_alpha_params(beta=0.5)
 
     def test_one_prefix_per_grid_point(self, monkeypatch):
-        # 9 grid points: (i) reads each to n_max, (iii) reads I0's least point to k_max
+        # 9 grid points: (i) reads each chord point to n_max (the two least for
+        # affine, every one for exp_alpha), (iii) reads I0's least point to k_max
         p = unif_exp_alpha_params()
         calls = []
         prefix = weights.log_cum_prefix
@@ -338,9 +347,12 @@ class TestUnifHypotheses:
 
         monkeypatch.setattr(weights, "log_cum_prefix", counted)
         monkeypatch.setattr(criteria, "log_cum_prefix", counted)
-        check_unif_hypotheses(WeightFamily.affine(0.4), p)
         grid = p.grid().tolist()
-        assert calls == [(a, p.n_max) for a in grid] + [(p.I0_lo, p.k_max)]
+        for fam, pts in ((WeightFamily.affine(0.4), grid[:2]),
+                         (WeightFamily.exp_alpha(0.4), grid)):
+            calls.clear()
+            check_unif_hypotheses(fam, p)
+            assert calls == [(a, p.n_max) for a in pts] + [(p.I0_lo, p.k_max)]
 
     def test_memory_is_a_few_floats_per_index(self):
         # one prefix at I0's least point, to k_max, plus arrays of n_max + k_max
@@ -442,7 +454,8 @@ class TestCorollaryHypotheses:
                                        {"D1": 1.0, "D2": 1.0}, 5, 100)
 
     def test_one_prefix_per_grid_point(self, monkeypatch):
-        # the shipped example: 9 grid points, each prefix scan serves both bullets
+        # the shipped example: 9 grid points, each prefix scan serves both
+        # bullets; affine(0) scans the two least, pure_power every point
         ex = json.loads((EXAMPLES / "corollary_check.json").read_text())
         grid = np.linspace(ex["I0"]["lo"], ex["I0"]["hi"], ex["I0"]["points"]).tolist()
         calls = []
@@ -453,11 +466,12 @@ class TestCorollaryHypotheses:
             return chunks(fam, lam, lo, hi)
 
         monkeypatch.setattr(criteria, "log_cum_chunks", counted)
-        rep = check_corollary_hypotheses(
-            WeightFamily.from_json_dict(ex["family"]), grid, ex["variant"],
-            ex["constants"], ex["N"], ex["n_max"])
-        assert rep.overall
-        assert sorted(calls) == grid
+        for fam, pts in ((WeightFamily.from_json_dict(ex["family"]), grid[:2]), (PP, grid)):
+            calls.clear()
+            rep = check_corollary_hypotheses(
+                fam, grid, ex["variant"], ex["constants"], ex["N"], ex["n_max"])
+            assert calls == pts
+            assert rep.overall or fam == PP  # pure_power meets D1 * log(n) up to rounding
 
     def test_holds_two_prefixes_not_one_per_grid_point(self):
         # holding all 9 prefixes at once peaked at 17 prefix sizes
@@ -472,6 +486,21 @@ class TestCorollaryHypotheses:
         finally:
             tracemalloc.stop()
         assert peak < 12 * prefix_bytes
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # affine reads its two least grid points: 33 points peak as 2 do
+        # (one block per grid point would add 31 blocks)
+        peaks = []
+        for points in (2, 33):
+            tracemalloc.start()
+            try:
+                check_corollary_hypotheses(
+                    WeightFamily.affine(0.4), np.linspace(1.0, 2.0, points).tolist(), 1,
+                    {"D1": 5.0, "D2": 0.5, "D3": 1.0}, N=5, n_max=200_000)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 8 * weights._CHUNK / 10
 
     def test_memory_does_not_grow_with_n_max(self):
         # one block per grid point plus block-sized temporaries, for any n_max
@@ -519,6 +548,37 @@ class TestCorollaryHypotheses:
                 got = (c.passed, c.achieved, c.bound, c.witness, c.evaluations)
                 assert got == want[name], (name, points, N, n_max)
 
+    @pytest.mark.parametrize("fam", [AFF0, WeightFamily.affine(0.4), WeightFamily.affine(0.9), GEO],
+                             ids=lambda f: f"{f.variant}{'' if f.alpha is None else f.alpha}")
+    def test_first_chord_matches_every_chord_where_concave(self, fam):
+        # the Lipschitz bullet reads the two least grid points of a concave
+        # family; from relative width 1e-4 up the report has the bits of every
+        # chord.  On narrower grids rounding can outweigh the concavity gap:
+        # the ratio at each n is never above the largest chord, so neither is
+        # the worst margin (the ratio at the worst n may be, since n can move)
+        B = weights._CHUNK
+        rng = random.Random(53)
+        for _ in range(12):
+            variant = rng.choice((1, 2))
+            constants = ({"D1": 1.0, "D2": 1.0, "D3": 0.5, "alpha": 0.5} if variant == 1
+                         else {"D1": 1.0, "D2": 1.0, "gamma": 1.0})
+            points, lo = rng.randint(2, 12), rng.uniform(0.2, 4.0)
+            N = rng.choice((rng.randint(1, B), rng.randint(B + 1, 2 * B)))
+            n_max = N + rng.randint(0, 2 * B)
+            for rel in (10 ** rng.uniform(-4.0, math.log10(30.0)), 10 ** rng.uniform(-12.0, -6.0)):
+                grid = np.linspace(lo, lo * (1.0 + rel), points).tolist()
+                rep = check_corollary_hypotheses(fam, grid, variant, constants, N, n_max)
+                want = corollary_oracle(fam, grid, variant, constants, N, n_max)
+                got = {name: (c.passed, c.achieved, c.bound, c.witness, c.evaluations)
+                       for name, c in rep.conditions.items()}
+                case = (points, lo, rel, variant, N, n_max)
+                assert got["growth"] == want["growth"], case
+                if rel >= 1e-4:
+                    assert got["lipschitz"] == want["lipschitz"], case
+                else:
+                    (_, a, b, *_), (_, wa, wb, *_) = got["lipschitz"], want["lipschitz"]
+                    assert a - b <= wa - wb, case
+
 
 class TestCaracConditions:
     def exp_alpha_setup(self, m=3, q=20, eps=1.0):
@@ -533,6 +593,15 @@ class TestCaracConditions:
         rep = check_carac_conditions((fam,), sched, p)
         direct = math.fsum(math.exp(-1.5 * (100 * k) ** 0.5 / 3) for k in range(1, 21))
         assert rep.conditions["ii"].achieved == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["tau", "eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_constants_must_be_finite_and_positive(self, name, value):
+        fam, sched, p = self.exp_alpha_setup()
+        kw = dict(m=p.m, tau=p.tau, N=p.N, eps=p.eps, K=p.K, F=p.F, c=p.c, C=p.C)
+        kw[name] = value
+        with pytest.raises(ValueError, match=f"finite and positive; got {name} = "):
+            CaracParams(**kw)
 
     def test_singleton_box_covered_for_any_tau(self):
         fam, sched, p = self.exp_alpha_setup(q=1)

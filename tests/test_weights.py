@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -119,6 +120,26 @@ class TestLargeWindowPaths:
             for s in range(l + 1, l + n + 1, 10**6))
         assert got == pytest.approx(direct, rel=1e-11)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 0.9])
+    def test_fsum_window_has_the_bits_of_whole_chunk_lists(self, alpha):
+        # chunks reach fsum in slices; the reference hands it each chunk's list
+        F = weights._FSUM_MAX
+        for lam, l, n in ((0.7, 0, 1_500_000), (2.3, 777, F + 3), (1.1, 10**6, 5_000_000)):
+            want = math.fsum(math.fsum(weights._affine_terms(
+                alpha, lam, np.arange(s, min(s + F, l + n + 1), dtype=np.float64)).tolist())
+                for s in range(l + 1, l + n + 1, F))
+            assert weights._affine_fsum_window(alpha, lam, l, n) == want, (lam, l, n)
+
+    def test_fsum_window_holds_one_float64_chunk(self):
+        n = 10**6
+        tracemalloc.start()
+        try:
+            weights._affine_fsum_window(0.4, 1.3, 10, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n
+
     def test_affine0_huge_window_no_overflow(self):
         got = log_cum_window(AFFINE0, 3.0, 0, 10**8)
         assert got == pytest.approx(3.0 * math.log(10**8), rel=0.05)
@@ -216,6 +237,10 @@ MONOTONE_FAMILIES = [
 # 9-point grids of relative width 1, 1e-6 and 1e-12
 NARROW_GRIDS = [np.linspace(lo, lo * (1.0 + rel), 9).tolist()
                 for lo in (0.3, 1.0, 2.7) for rel in (1.0, 1e-6, 1e-12)]
+
+
+# log cumulative products strictly concave in lam
+CONCAVE_FAMILIES = [AFFINE0, WeightFamily.affine(0.4), WeightFamily.affine(0.9), GEO]
 
 
 def family_id(fam):
@@ -367,6 +392,26 @@ class TestLipschitzRatio:
             assert (got <= want).all()
             assert (want - got <= 4 * np.finfo(float).eps * want).all()
 
+    @pytest.mark.parametrize("fam", CONCAVE_FAMILIES, ids=family_id)
+    def test_first_chord_is_the_largest_where_concave(self, fam):
+        # chord_points keeps the two least points of affine and geometric
+        # grids: the first computed chord must be the largest neighbouring
+        # one, for windows and prefixes, from hi/lo - 1 = 1e-4 to 30
+        rng = random.Random(43)
+        for _ in range(60):
+            lo = rng.uniform(0.1, 5.0)
+            hi = lo * (1.0 + 10 ** rng.uniform(-4.0, math.log10(30.0)))
+            pts = sorted({lo, hi} | {rng.uniform(lo, hi) for _ in range(rng.randint(0, 10))})
+            l = rng.choice((0, rng.randrange(1, 20_001)))
+            n = rng.randint(1, 20_000)
+            vals = [log_cum_window(fam, a, l, n) for a in pts]
+            chords = [abs(v - u) / (b - a) for a, b, u, v in zip(pts, pts[1:], vals, vals[1:])]
+            assert chords[0] == max(chords), (pts, l, n)
+            assert lipschitz_ratio(fam, pts, l, n) == chords[0]
+            rows = [log_cum_prefix(fam, a, n) for a in pts]
+            assert np.array_equal(lipschitz_ratio_profile(fam, pts, np.arange(n + 1)),
+                                  weights._max_slope(pts, rows)), (pts, n)
+
     def test_profile_matches_scalar(self):
         grid = [1.0, 1.5, 2.0]
         ns = np.array([5, 17, 120])
@@ -435,6 +480,12 @@ class TestValidationAndJson:
             LipschitzProfile("power", 1.0, None)
         with pytest.raises(ValueError):
             LipschitzProfile("log", -1.0)
+
+    @pytest.mark.parametrize("kind,alpha", [("power", 0.5), ("log", None)])
+    @pytest.mark.parametrize("D1", [math.nan, math.inf, -math.inf, 0.0])
+    def test_profile_scale_must_be_finite_and_positive(self, kind, alpha, D1):
+        with pytest.raises(ValueError, match="finite and positive; got D1 = "):
+            LipschitzProfile(kind, D1, alpha)
 
     def test_profile_values(self):
         assert LipschitzProfile("power", 2.0, 0.5)(4) == pytest.approx(4.0)
