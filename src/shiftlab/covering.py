@@ -22,6 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .weights import _positive
+
 Box = Tuple[Tuple[float, float], ...]
 
 
@@ -91,8 +93,7 @@ class GradedParams:
         if not (self.beta > self.alpha * self.d):
             raise ValueError(f"beta must exceed alpha*d = {self.alpha * self.d}; got {self.beta}")
         for name in ("D", "tau", "eta", "c"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            _positive(name, getattr(self, name))
         if self.N < 1:
             raise ValueError("spacing floor N must be a positive integer")
 

@@ -19,7 +19,6 @@ Large cumulative products are compared in log domain throughout.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ import numpy as np
 
 from .covering import CheckResult, Covering, CriterionReport, box_union_covers, as_box
 from .lognum import logsumexp
-from .seqspace import _TINY, L1, SeqVec, SpaceNorm, _norm, cw_root, norm
+from .seqspace import _TINY, L1, SeqVec, SpaceNorm, _norm, cw_root
 from .weights import (
     LipschitzProfile,
     WeightFamily,
@@ -44,26 +43,7 @@ from .weights import (
     log_weight,
 )
 
-_MAX_PAIR_GRID = 50_000_000  # guard for the (n, k) product in the tail displays
-
-
-def _require_fnorm_bullets(space_norm: SpaceNorm):
-    """Precondition on the chosen norm: the three scalar-scaling bullets.
-
-    |c| <= 1 must not increase the norm, ||c*x|| <= (|c|+1)*||x|| must hold,
-    and scaling to zero must drive the norm to zero.  Probed numerically on a
-    fixed vector and scalar grid.
-    """
-    probe = SeqVec({0: 1.0, 3: -0.5, 7: 2.0})
-    base = norm(probe, space_norm)
-    for c in (-1.5, -1.0, -0.5, -0.1, 0.1, 0.5, 1.0, 1.5):
-        val = norm(c * probe, space_norm)
-        if abs(c) <= 1.0 and val > base * (1 + 1e-9):
-            raise ValueError(f"norm violates the contraction bullet at c = {c}")
-        if val > (abs(c) + 1.0) * base * (1 + 1e-9):
-            raise ValueError(f"norm violates the (|c|+1) scaling bullet at c = {c}")
-    if norm(1e-200 * probe, space_norm) > 1e-150:
-        raise ValueError("norm does not scale to zero with the scalar")
+_MAX_PAIR_GRID = 50_000_000  # guard for unif's (n, k) grid and criterion's s^d * M per cell
 
 
 def _canonical(c: np.ndarray) -> np.ndarray:
@@ -88,6 +68,7 @@ def _norm_from_logcoeffs(logcs: Sequence[float], n: SpaceNorm) -> float:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore")  # _canonical rejects an overflowed coefficient
 def check_basic_criterion(
     fams: Sequence[WeightFamily],
     cov: Covering,
@@ -107,7 +88,6 @@ def check_basic_criterion(
     condition.  Condition I (the cover itself) is delegated to the covering's
     union check and only evaluated when ``region`` is supplied.
     """
-    _require_fnorm_bullets(space_norm)
     fams = tuple(fams)
     v = tuple(v)
     d = cov.d
@@ -119,6 +99,9 @@ def check_basic_criterion(
         raise ValueError(f"constants must be finite and nonnegative; got eps = {eps!r}")
     if samples_per_axis < 1:
         raise ValueError("samples_per_axis must be >= 1")
+    if samples_per_axis**d * (m_hi - m_lo + 1) > _MAX_PAIR_GRID:
+        raise ValueError(f"samples_per_axis**d * (m_hi - m_lo + 1) exceeds {_MAX_PAIR_GRID};"
+                         " lower samples_per_axis or the power range")
     for ax, vec in enumerate(v):
         for k, c in vec.items():
             if c < 0.0:
@@ -137,16 +120,15 @@ def check_basic_criterion(
     for ax, root in enumerate(roots):
         supp = np.asarray(root.support(), dtype=np.int64)
         coeffs = np.asarray([root.coeff(int(l)) for l in supp])
-        with np.errstate(over="ignore"):  # _canonical rejects the overflow below
-            A = np.concatenate([coeffs * np.exp(-log_cum_windows(
-                fams[ax], cell.anchor[ax], supp, np.full(supp.shape, cell.n)) / m_lo)
-                for cell in cov.cells])
+        A = np.concatenate([coeffs * np.exp(-log_cum_windows(
+            fams[ax], cell.anchor[ax], supp, np.full(supp.shape, cell.n)) / m_lo)
+            for cell in cov.cells])
         ls, ns = np.tile(supp, cov.q), np.repeat(cov.powers, len(supp))
         # bincount adds colliding indices in (j, l) order, as dict updates do
         _, inv = np.unique(ls + ns, return_inverse=True)
         total += _norm(_canonical(np.bincount(inv, A)).tolist(), space_norm)
         target = np.asarray([v[ax].coeff(int(l)) for l in supp])
-        flat.append((ls, ns, target, {m: np.asarray([a**m for a in A.tolist()]) for m in ms}))
+        flat.append((ls, ns, target, [np.asarray([a**m for a in A.tolist()]) for m in ms]))
 
     conds: Dict[str, CheckResult] = {}
     if region is None:
@@ -161,54 +143,48 @@ def check_basic_criterion(
     conds["II.a"] = CheckResult(total <= eps, total, eps, evaluations=1)
 
     worst = {name: CheckResult(True, 0.0, eps, evaluations=0) for name in ("II.b", "III", "IV")}
-
-    def record(name, val, witness):
-        cur = worst[name]
-        cur.evaluations += 1
-        if val > cur.achieved:
-            cur.achieved, cur.witness, cur.passed = val, witness, val <= eps
-
     for i, cell in enumerate(cov.cells):
         n_i = cell.n
-        # B^{n_i} moves (j, l) to l + n_j - n_i; the row j = i lands on l
-        axes = []
-        for (ls, ns, target, Am), a, (lo, hi) in zip(flat, cell.anchor, cell.box):
+        # Per axis, (s, M) tables of the II.b norm (rows j != i) and the III/IV
+        # norm (row j = i), where B^{n_i} moves (j, l) to l + n_j - n_i.  Adding
+        # them in axis order gives each grid point 0.0 + t_0 + ... + t_{d-1}.
+        grid, tail, head = [], np.zeros(len(ms)), np.zeros(len(ms))
+        for (ls, ns, target, Am), fam, a, (lo, hi) in zip(flat, fams, cell.anchor, cell.box):
             offs = ls + ns - n_i
             keep = offs >= 0
             offs, own = offs[keep], ns[keep] == n_i
+            Am = [x[keep] for x in Am]
             _, inv = np.unique(offs[~own], return_inverse=True)
             lams = [a] if samples_per_axis == 1 else np.linspace(lo, hi, samples_per_axis).tolist()
-            axes.append((lams, offs, own, ~own, inv, target, {m: x[keep] for m, x in Am.items()}))
+            table = []  # (II.b, III or IV) per sampled value and power
+            for lam in lams:
+                w = log_cum_windows(fam, lam, offs, np.full(offs.shape, n_i))
+                e = np.asarray([math.exp(x) for x in w.tolist()])
+                for m, pw in zip(ms, Am):
+                    c = pw * e
+                    t = _norm(_canonical(np.bincount(inv, c[~own])).tolist(), space_norm)
+                    c = _canonical(c[own])
+                    if m == m_lo:
+                        c = _canonical(c - target)
+                    table.append((t, _norm(c.tolist(), space_norm)))
+            table = np.asarray(table).reshape(len(lams), len(ms), 2)
+            grid.append(lams)
+            tail = tail[..., None, :] + table[..., 0]
+            head = head[..., None, :] + table[..., 1]
 
-        @functools.cache
-        def axis_norms(ax, k):
-            # per power m: II.b over the rows j != i, III (IV for m_lo) over j = i
-            lams, offs, own, other, inv, target, Am = axes[ax]
-            w = log_cum_windows(fams[ax], lams[k], offs, np.full(offs.shape, n_i))
-            e = np.asarray([math.exp(x) for x in w.tolist()])
-            out = []
-            for m in ms:
-                c = Am[m] * e
-                tail = _norm(_canonical(np.bincount(inv, c[other])).tolist(), space_norm)
-                c = _canonical(c[own])
-                if m == m_lo:
-                    c = _canonical(c - target)
-                out.append((tail, _norm(c.tolist(), space_norm)))
-            return out
-
-        # sum in axis order with + (sum() may compensate); an axis value is computed on first use
-        for idx in itertools.product(range(samples_per_axis), repeat=d):
-            lam = [axes[ax][0][k] for ax, k in enumerate(idx)]
-            for mi, m in enumerate(ms):
-                tail = head = 0.0
-                for ax, k in enumerate(idx):
-                    t, h = axis_norms(ax, k)[mi]
-                    tail, head = tail + t, head + h
-                record("II.b", tail, {"cell": i, "lambda": list(lam), "m": m})
-                if m == m_lo:
-                    record("IV", head, {"cell": i, "lambda": list(lam)})
-                else:
-                    record("III", head, {"cell": i, "lambda": list(lam), "m": m})
+        # the first maximum in C order is the first in (sample point, m) order;
+        # strict > across cells keeps the earliest cell
+        for name, vals, pows in (("II.b", tail, ms), ("IV", head[..., :1], ms[:1]),
+                                 ("III", head[..., 1:], ms[1:])):
+            cur = worst[name]
+            cur.evaluations += vals.size
+            val = float(vals.max(initial=0.0))
+            if val > cur.achieved:
+                *idx, mi = np.unravel_index(int(np.argmax(vals)), vals.shape)
+                cur.achieved, cur.passed = val, val <= eps
+                cur.witness = {"cell": i, "lambda": [g[k] for g, k in zip(grid, idx)]}
+                if name != "IV":
+                    cur.witness["m"] = pows[mi]
 
     if m_hi == m_lo:
         worst["III"].note = "vacuous: the power range (m_lo, m_hi] is empty"
@@ -458,7 +434,7 @@ class CaracParams:
         _positive("eps", self.eps)
         if self.N < 1:
             raise ValueError("N must be a positive integer")
-        if not (0.0 < self.c <= self.C):
+        if _positive("c", self.c) > _positive("C", self.C):
             raise ValueError("need 0 < c <= C")
 
 
@@ -474,7 +450,6 @@ def check_carac_conditions(
     are evaluated in log domain; a hypothesis probe of the Lipschitz sandwich
     and the weight-ratio floor runs on a coordinate grid drawn from K.
     """
-    _require_fnorm_bullets(p.space_norm)
     fams = tuple(fams)
     d = len(fams)
     sched = [(int(n), tuple(float(x) for x in lam)) for n, lam in schedule]

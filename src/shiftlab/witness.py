@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covering import Covering, LogCoveringParams, build_log_covering
 from .seqspace import L1, ProductKind, SeqVec, norm, power, product
-from .weights import WeightFamily, apply_backward_power, log_cum_window
+from .weights import WeightFamily, _positive, apply_backward_power, log_cum_window
 
 SWEEP_COLUMNS = [
     "sigma", "q", "N_1", "N_q", "separation_ok", "p1_worst", "p2_worst",
@@ -60,8 +60,7 @@ class WitnessConfig:
         object.__setattr__(self, "v", tuple(self.v))
         if len(self.u) != d or len(self.v) != d:
             raise ValueError(f"u and v must have {d} axes")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+        _positive("eta", self.eta)
         fams = self.fams
         if fams is None:
             fams = tuple(WeightFamily.pure_power() for _ in range(d))

@@ -264,6 +264,14 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             GradedParams(alpha=0.3, beta=0.7, D=-1.0, tau=1.0, eta=0.5, N=5, d=2)
 
+    @pytest.mark.parametrize("name", ["D", "tau", "eta", "c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_constants_must_be_finite_and_positive(self, name, value):
+        kw = dict(alpha=0.3, beta=0.7, D=1.0, tau=1.0, eta=0.5, N=5, d=2)
+        kw[name] = value
+        with pytest.raises(ValueError, match=f"finite and positive; got {name} = "):
+            GradedParams(**kw)
+
 
 class TestSerialization:
     def test_log_roundtrip(self):

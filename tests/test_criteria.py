@@ -159,21 +159,28 @@ def basic_criterion_oracle(fams, cov, v, m_lo, m_hi, samples_per_axis, space_nor
 class TestBasicCriterionOracle:
     """The displays against the sparse shift operators, with colliding indices."""
 
-    def instance(self):
+    # per axis: family, anchor (c + step*n), box (lo + step*n, hi + step*n), target
+    AXES = ((PP, 1.2, 0.04, 1.18, 1.22, SeqVec({0: 0.9, 1: 0.5})),
+            (GEO, 1.1, 0.02, 1.08, 1.12, SeqVec({0: 1.0, 1: 0.3})),
+            (WeightFamily.affine(0.4), 1.3, 0.03, 1.27, 1.33, SeqVec({0: 0.7, 1: 0.4})))
+
+    def instance(self, d):
         # consecutive powers with support {0, 1}: index l = 1 of cell j meets
         # index l = 0 of cell j + 1 in II.a and II.b
-        cells = [Cell(n, (1.2 + 0.04 * n, 1.1 + 0.02 * n),
-                      ((1.18 + 0.04 * n, 1.22 + 0.04 * n), (1.08 + 0.02 * n, 1.12 + 0.02 * n)))
+        axes = self.AXES[:d]
+        cells = [Cell(n, tuple(c + s * n for _, c, s, *_ in axes),
+                      tuple((lo + s * n, hi + s * n) for _, _, s, lo, hi, _ in axes))
                  for n in (3, 4, 5, 6)]
-        v = (SeqVec({0: 0.9, 1: 0.5}), SeqVec({0: 1.0, 1: 0.3}))
-        return (PP, GEO), Covering(tuple(cells)), v
+        return tuple(ax[0] for ax in axes), Covering(tuple(cells)), tuple(ax[5] for ax in axes)
 
-    @pytest.mark.parametrize("space_norm,samples", [
-        (L1, 2), (SUP, 2), (SpaceNorm.lp(2), 2),
-        (L1, 3), (SUP, 3), (SpaceNorm.lp(2), 3),
-    ], ids=["l1", "sup", "lp2", "l1-s3", "sup-s3", "lp2-s3"])
-    def test_displays_match_sparse_operators(self, space_norm, samples, monkeypatch):
-        fams, cov, v = self.instance()
+    @pytest.mark.parametrize("space_norm,samples,d,m_lo,m_hi", [
+        (L1, 2, 2, 2, 4), (SUP, 2, 2, 2, 4), (SpaceNorm.lp(2), 2, 2, 2, 4),
+        (L1, 3, 2, 2, 4), (SUP, 3, 2, 2, 4), (SpaceNorm.lp(2), 3, 2, 2, 4),
+        (SUP, 4, 1, 2, 2), (SpaceNorm.lp(2), 2, 3, 1, 3),
+    ], ids=["l1", "sup", "lp2", "l1-s3", "sup-s3", "lp2-s3", "sup-d1-s4-m2", "lp2-d3"])
+    def test_displays_match_sparse_operators(self, space_norm, samples, d, m_lo, m_hi,
+                                             monkeypatch):
+        fams, cov, v = self.instance(d)
         calls = []
         windows = criteria.log_cum_windows
 
@@ -182,18 +189,33 @@ class TestBasicCriterionOracle:
             return windows(*args)
 
         monkeypatch.setattr(criteria, "log_cum_windows", counted)
-        rep = check_basic_criterion(fams, cov, v, 2, 4, eps=0.1, samples_per_axis=samples,
-                                    space_norm=space_norm)
-        oracle = basic_criterion_oracle(fams, cov, v, 2, 4, samples, space_norm)
+        rep = check_basic_criterion(fams, cov, v, m_lo, m_hi, eps=0.1,
+                                    samples_per_axis=samples, space_norm=space_norm)
+        oracle = basic_criterion_oracle(fams, cov, v, m_lo, m_hi, samples, space_norm)
         for name, (achieved, witness) in oracle.items():
             cond = rep.conditions[name]
             assert cond.achieved == pytest.approx(achieved, rel=1e-12), name
             assert cond.witness == witness, name
-        q, d = cov.q, cov.d
-        assert rep.conditions["III"].evaluations == q * samples**d * (4 - 2)
+        q = cov.q
+        assert rep.conditions["III"].evaluations == q * samples**d * (m_hi - m_lo)
         # q*d anchor windows, then one per cell, axis and sampled value of that
         # axis: the s**d grid points share them
         assert len(calls) == q * d + q * d * samples
+
+    def test_display_grid_guard_exits_two_before_any_window(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(criteria, "log_cum_windows", lambda *args: calls.append(args))
+        # s**d * (m_hi - m_lo + 1) = 50,000,001 display values per cell
+        job = {"command": "criterion-check", "payload": {
+            "families": [{"variant": "pure_power"}],
+            "covering": {"cells": [{"n": 5, "anchor": [1.0], "box": [[1.0, 1.1]]}]},
+            "v": [{"entries": [[0, 1.0]]}], "m_lo": 1, "m_hi": 1, "eps": 0.1,
+            "samples_per_axis": criteria._MAX_PAIR_GRID + 1}}
+        assert run(job) == 2
+        assert calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("shiftlab: config error: samples_per_axis**d * (m_hi - m_lo + 1)")
 
     def test_overflowing_coefficient_exits_two(self, capsys):
         # lambda = 0.5: the forward coefficient 0.5**(-2100) is not a double
@@ -202,6 +224,20 @@ class TestBasicCriterionOracle:
             "families": [{"variant": "geometric"}], "covering": {"cells": cells},
             "v": [{"entries": [[0, 1.0]]}], "m_lo": 1, "m_hi": 2, "eps": 0.1,
             "samples_per_axis": 1}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(job) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "shiftlab: config error: non-finite coefficient in a criterion display"]
+
+    def test_overflowing_display_coefficient_exits_two(self, capsys):
+        # the forward coefficient 0.5**(-1000) is a double; at the sample
+        # lambda = 1.5 the display coefficient 3**1000 is not
+        cells = [{"n": 1000, "anchor": [0.5], "box": [[0.5, 1.5]]}]
+        job = {"command": "criterion-check", "payload": {
+            "families": [{"variant": "geometric"}], "covering": {"cells": cells},
+            "v": [{"entries": [[0, 1.0]]}], "m_lo": 1, "m_hi": 1, "eps": 0.1,
+            "samples_per_axis": 2}}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert run(job) == 2
@@ -594,7 +630,7 @@ class TestCaracConditions:
         direct = math.fsum(math.exp(-1.5 * (100 * k) ** 0.5 / 3) for k in range(1, 21))
         assert rep.conditions["ii"].achieved == pytest.approx(direct, rel=1e-12)
 
-    @pytest.mark.parametrize("name", ["tau", "eps"])
+    @pytest.mark.parametrize("name", ["tau", "eps", "c", "C"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
     def test_constants_must_be_finite_and_positive(self, name, value):
         fam, sched, p = self.exp_alpha_setup()
@@ -602,6 +638,11 @@ class TestCaracConditions:
         kw[name] = value
         with pytest.raises(ValueError, match=f"finite and positive; got {name} = "):
             CaracParams(**kw)
+
+    def test_c_must_not_exceed_C(self):
+        fam, sched, p = self.exp_alpha_setup()
+        with pytest.raises(ValueError, match="need 0 < c <= C"):
+            CaracParams(m=p.m, tau=p.tau, N=p.N, eps=p.eps, K=p.K, F=p.F, c=3.0, C=2.0)
 
     def test_singleton_box_covered_for_any_tau(self):
         fam, sched, p = self.exp_alpha_setup(q=1)

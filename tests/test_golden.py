@@ -30,11 +30,11 @@ CASES = {
 }
 
 
-def report_bytes(tmp_path, command: str, payload: dict, fmt: str = "json") -> bytes:
+def report_bytes(tmp_path, command: str, payload: dict, fmt: str = "json", rc: int = 0) -> bytes:
     out = tmp_path / "report"
     job = {"command": command, "payload": payload,
            "output": {"format": fmt, "path": str(out)}}
-    assert run(job) == 0
+    assert run(job) == rc
     return out.read_bytes()
 
 
@@ -47,6 +47,25 @@ def test_example_report_bytes(golden, tmp_path):
     command, name, fmt = CASES[golden]
     got = report_bytes(tmp_path, command, example(name), fmt)
     assert got == (GOLDEN / golden).read_bytes()
+
+
+# d = 3: one family per variant kind, consecutive powers 4 and 5 so that
+# index 1 of the first cell meets index 0 of the second
+CRITERION_D3 = {
+    "families": [{"variant": "pure_power"}, {"variant": "geometric"},
+                 {"variant": "affine", "alpha": 0.4}],
+    "covering": {"cells": [
+        {"n": n, "anchor": [a, b, c], "box": [[a, a + 0.02], [b, b + 0.01], [c, c + 0.03]]}
+        for n, a, b, c in ((4, 1.1, 1.05, 1.2), (5, 1.12, 1.06, 1.23), (7, 1.14, 1.07, 1.26))]},
+    "v": [{"entries": [[0, 1.0], [1, 0.5]]}, {"entries": [[0, 0.8], [1, 0.2]]},
+          {"entries": [[0, 1.2]]}],
+    "m_lo": 1, "m_hi": 3, "eps": 0.1, "samples_per_axis": 2,
+}
+
+
+def test_criterion_check_d3_report_bytes(tmp_path):
+    got = report_bytes(tmp_path, "criterion-check", CRITERION_D3, rc=1)  # II.a to IV fail
+    assert got == (GOLDEN / "criterion_check_d3.json").read_bytes()
 
 
 def test_cover_verify_of_graded_build(tmp_path):

@@ -301,3 +301,9 @@ class TestConfigJson:
         p = LogCoveringParams(box=BOX, m=2, r=1, base=100)
         with pytest.raises(ValueError, match="eta"):
             WitnessConfig(log_cov=p, u=zero_pair(), v=zero_pair(), eta=0.0)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    def test_eta_finite(self, eta):
+        p = LogCoveringParams(box=BOX, m=2, r=1, base=100)
+        with pytest.raises(ValueError, match="finite and positive; got eta = "):
+            WitnessConfig(log_cov=p, u=zero_pair(), v=zero_pair(), eta=eta)
