@@ -34,6 +34,7 @@ from .weights import (
     WeightFamily,
     _max_slope,
     _positive,
+    _require_admissible_array,
     chord_points,
     lipschitz_ratio_profile,
     log_cum_chunks,
@@ -44,6 +45,11 @@ from .weights import (
 )
 
 _MAX_PAIR_GRID = 50_000_000  # guard for unif's (n, k) grid and criterion's s^d * M per cell
+# criterion-check takes as many cells per block as keep each block array at
+# most this many (cell, pair) entries or display values (one cell if it needs
+# more).  The benchmark's q = 256 job peaks at 1.3 MiB under tracemalloc with
+# 2**13, 2.4 MiB with 2**14 and 9.5 MiB with all its cells in one block.
+_BLOCK = 1 << 13
 
 
 def _canonical(c: np.ndarray) -> np.ndarray:
@@ -51,6 +57,30 @@ def _canonical(c: np.ndarray) -> np.ndarray:
     if not np.isfinite(c).all():
         raise ValueError("non-finite coefficient in a criterion display")
     return np.where(np.abs(c) < _TINY, 0.0, c)
+
+
+def _segment_norms(c: np.ndarray, at: np.ndarray, n: SpaceNorm) -> list:
+    """The norms _norm gives the segments c[at[i]:at[i + 1]]."""
+    a, at = np.abs(c).tolist(), at.tolist()
+    if n.kind == "sup":
+        return [max(a[i:j], default=0.0) for i, j in zip(at, at[1:])]
+    if n.p == 1.0:  # fsum is correctly rounded, so any order gives these bits
+        return [math.fsum(a[i:j]) for i, j in zip(at, at[1:])]
+    return [_norm(a[i:j], n) for i, j in zip(at, at[1:])]
+
+
+def _cell_bins(cell: np.ndarray, off: np.ndarray):
+    """The bin of each (cell, offset) pair and the cell of each bin.
+
+    Bins number the distinct pairs in sorted order.
+    """
+    order = np.lexsort((off, cell))
+    c, o = cell[order], off[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (c[1:] != c[:-1]) | (o[1:] != o[:-1])
+    bins = np.empty(len(order), dtype=np.int64)
+    bins[order] = np.cumsum(new) - 1
+    return bins, c[new]
 
 
 def _norm_from_logcoeffs(logcs: Sequence[float], n: SpaceNorm) -> float:
@@ -99,7 +129,8 @@ def check_basic_criterion(
         raise ValueError(f"constants must be finite and nonnegative; got eps = {eps!r}")
     if samples_per_axis < 1:
         raise ValueError("samples_per_axis must be >= 1")
-    if samples_per_axis**d * (m_hi - m_lo + 1) > _MAX_PAIR_GRID:
+    s, M = samples_per_axis, m_hi - m_lo + 1
+    if s**d * M > _MAX_PAIR_GRID:
         raise ValueError(f"samples_per_axis**d * (m_hi - m_lo + 1) exceeds {_MAX_PAIR_GRID};"
                          " lower samples_per_axis or the power range")
     for ax, vec in enumerate(v):
@@ -109,6 +140,7 @@ def check_basic_criterion(
 
     roots = [cw_root(vec, m_lo) for vec in v]
     ms = range(m_lo, m_hi + 1)
+    cells = cov.cells
 
     # Flat per-axis arrays over the (cell j, support index l) pairs, j-major:
     # l, n_j, the target at l and the powers A**m of the forward coefficients
@@ -119,16 +151,20 @@ def check_basic_criterion(
     total = 0.0  # II.a: the lambda-independent forward sum
     for ax, root in enumerate(roots):
         supp = np.asarray(root.support(), dtype=np.int64)
-        coeffs = np.asarray([root.coeff(int(l)) for l in supp])
-        A = np.concatenate([coeffs * np.exp(-log_cum_windows(
-            fams[ax], cell.anchor[ax], supp, np.full(supp.shape, cell.n)) / m_lo)
-            for cell in cov.cells])
+        anchors = _require_admissible_array(fams[ax], [c.anchor[ax] for c in cells])
         ls, ns = np.tile(supp, cov.q), np.repeat(cov.powers, len(supp))
+        coeffs = np.tile([root.coeff(int(l)) for l in supp], cov.q)
+        A = coeffs * np.exp(-log_cum_windows(fams[ax], np.repeat(anchors, len(supp)), ls, ns)
+                            / m_lo)
         # bincount adds colliding indices in (j, l) order, as dict updates do
         _, inv = np.unique(ls + ns, return_inverse=True)
         total += _norm(_canonical(np.bincount(inv, A)).tolist(), space_norm)
-        target = np.asarray([v[ax].coeff(int(l)) for l in supp])
-        flat.append((ls, ns, target, [np.asarray([a**m for a in A.tolist()]) for m in ms]))
+        target = np.tile([v[ax].coeff(int(l)) for l in supp], cov.q)
+        try:
+            Am = [np.asarray([a**m for a in A.tolist()]) for m in ms]
+        except OverflowError:
+            raise ValueError("non-finite coefficient in a criterion display") from None
+        flat.append((ls, ns, target, Am))
 
     conds: Dict[str, CheckResult] = {}
     if region is None:
@@ -136,53 +172,79 @@ def check_basic_criterion(
             True, 0.0, 0.0, evaluations=0,
             note="delegated to the covering union check; no region supplied")
     else:
-        covered, missing, count = box_union_covers([c.box for c in cov.cells], as_box(region))
+        covered, missing, count = box_union_covers([c.box for c in cells], as_box(region))
         conds["I"] = CheckResult(
             covered, float(count), 0.0, evaluations=1,
             witness=None if covered else {"uncovered_point": list(missing)})
     conds["II.a"] = CheckResult(total <= eps, total, eps, evaluations=1)
 
-    worst = {name: CheckResult(True, 0.0, eps, evaluations=0) for name in ("II.b", "III", "IV")}
-    for i, cell in enumerate(cov.cells):
-        n_i = cell.n
-        # Per axis, (s, M) tables of the II.b norm (rows j != i) and the III/IV
-        # norm (row j = i), where B^{n_i} moves (j, l) to l + n_j - n_i.  Adding
-        # them in axis order gives each grid point 0.0 + t_0 + ... + t_{d-1}.
-        grid, tail, head = [], np.zeros(len(ms)), np.zeros(len(ms))
-        for (ls, ns, target, Am), fam, a, (lo, hi) in zip(flat, fams, cell.anchor, cell.box):
-            offs = ls + ns - n_i
-            keep = offs >= 0
-            offs, own = offs[keep], ns[keep] == n_i
-            Am = [x[keep] for x in Am]
-            _, inv = np.unique(offs[~own], return_inverse=True)
-            lams = [a] if samples_per_axis == 1 else np.linspace(lo, hi, samples_per_axis).tolist()
-            table = []  # (II.b, III or IV) per sampled value and power
-            for lam in lams:
-                w = log_cum_windows(fam, lam, offs, np.full(offs.shape, n_i))
-                e = np.asarray([math.exp(x) for x in w.tolist()])
-                for m, pw in zip(ms, Am):
-                    c = pw * e
-                    t = _norm(_canonical(np.bincount(inv, c[~own])).tolist(), space_norm)
-                    c = _canonical(c[own])
-                    if m == m_lo:
-                        c = _canonical(c - target)
-                    table.append((t, _norm(c.tolist(), space_norm)))
-            table = np.asarray(table).reshape(len(lams), len(ms), 2)
-            grid.append(lams)
-            tail = tail[..., None, :] + table[..., 0]
-            head = head[..., None, :] + table[..., 1]
+    # sampled lambdas per cell, axis and sample
+    lams = np.asarray([[[c.anchor[ax]] if s == 1 else np.linspace(lo, hi, s)
+                        for ax, (lo, hi) in enumerate(c.box)] for c in cells], dtype=np.float64)
 
-        # the first maximum in C order is the first in (sample point, m) order;
-        # strict > across cells keeps the earliest cell
+    def tables(i0: int, nb: int):
+        """II.b and III/IV display values of cells i0..i0+nb-1, shaped (nb, s, ..., s, M)."""
+        n_blk = np.asarray(cov.powers[i0:i0 + nb])
+        # Per axis, (nb, s, M) tables of the II.b norm (rows j != i) and the
+        # III/IV norm (row j = i), where B^{n_i} moves (j, l) to l + n_j - n_i.
+        # Adding them in axis order gives each grid point 0.0 + t_0 + ... + t_{d-1}.
+        tail = head = np.zeros((nb, M))
+        for ax, ((ls, ns, target, Am), fam) in enumerate(zip(flat, fams)):
+            offs = (ls + ns)[None, :] - n_blk[:, None]
+            cell, pair = np.nonzero(offs >= 0)  # cell-major, then (j, l)
+            offs = offs[cell, pair]
+            own = ns[pair] == n_blk[cell]
+            bins, bin_cells = _cell_bins(cell[~own], offs[~own])
+            tail_at = np.searchsorted(bin_cells, np.arange(nb + 1))
+            head_at = np.searchsorted(cell[own], np.arange(nb + 1))
+            Am = [x[pair] for x in Am]
+            target = target[pair[own]]
+            table = np.empty((2, nb, s, M))  # (II.b, III or IV) per cell, sample and power
+            for k in range(s):
+                lam = _require_admissible_array(fam, lams[i0:i0 + nb, ax, k])
+                w = log_cum_windows(fam, lam[cell], offs, n_blk[cell])
+                try:
+                    e = np.fromiter(map(math.exp, w.tolist()), np.float64, len(w))
+                except OverflowError:
+                    raise ValueError("non-finite coefficient in a criterion display") from None
+                for mi, pw in enumerate(Am):
+                    c = pw * e
+                    # bincount adds each (cell, offset) bin in (j, l) order
+                    c_tail = _canonical(np.bincount(bins, c[~own], len(bin_cells)))
+                    table[0, :, k, mi] = _segment_norms(c_tail, tail_at, space_norm)
+                    c = _canonical(c[own])
+                    if mi == 0:
+                        c = _canonical(c - target)
+                    table[1, :, k, mi] = _segment_norms(c, head_at, space_norm)
+            shape = (nb,) + (1,) * ax + (s, M)
+            tail = tail[..., None, :] + table[0].reshape(shape)
+            head = head[..., None, :] + table[1].reshape(shape)
+        return tail, head
+
+    per_block = max(1, _BLOCK // max(s**d * M, *(len(f[0]) for f in flat)))
+    worst = {name: CheckResult(True, 0.0, eps, evaluations=0) for name in ("II.b", "III", "IV")}
+    for i0 in range(0, cov.q, per_block):
+        nb = min(per_block, cov.q - i0)
+        try:
+            tail, head = tables(i0, nb)
+        except (ValueError, OverflowError):
+            # a block interleaves its cells' steps; one cell at a time, the
+            # first failing cell raises what it raises in a cell-by-cell pass
+            for i in range(i0, i0 + nb):
+                tables(i, 1)
+            raise
+        # the first maximum in C order is the first in (cell, sample point, m)
+        # order; strict > across blocks keeps the earliest cell
         for name, vals, pows in (("II.b", tail, ms), ("IV", head[..., :1], ms[:1]),
                                  ("III", head[..., 1:], ms[1:])):
             cur = worst[name]
             cur.evaluations += vals.size
             val = float(vals.max(initial=0.0))
             if val > cur.achieved:
-                *idx, mi = np.unravel_index(int(np.argmax(vals)), vals.shape)
+                b, *idx, mi = np.unravel_index(int(np.argmax(vals)), vals.shape)
                 cur.achieved, cur.passed = val, val <= eps
-                cur.witness = {"cell": i, "lambda": [g[k] for g, k in zip(grid, idx)]}
+                cur.witness = {"cell": i0 + int(b),
+                               "lambda": lams[i0 + b, range(d), idx].tolist()}
                 if name != "IV":
                     cur.witness["m"] = pows[mi]
 

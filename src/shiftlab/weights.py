@@ -145,6 +145,15 @@ def _require_admissible(fam: WeightFamily, lam: float) -> float:
     return lam
 
 
+def _require_admissible_array(fam: WeightFamily, lam) -> np.ndarray:
+    """``lam`` as a float64 array; the first inadmissible entry raises as in the scalar check."""
+    lam = np.asarray(lam, dtype=np.float64)
+    bad = ~((lam > 0.0) & np.isfinite(lam))
+    if bad.any():
+        _require_admissible(fam, lam.flat[int(np.argmax(bad))])
+    return lam
+
+
 def log_weight(fam: WeightFamily, lam: float, n: int) -> float:
     """log w_n(lam) for a single index n >= 1."""
     lam = _require_admissible(fam, lam)
@@ -321,30 +330,47 @@ def log_cum_chunks(
 
 
 def log_cum_windows(
-    fam: WeightFamily, lam: float, offsets: np.ndarray, lengths: np.ndarray
+    fam: WeightFamily, lam, offsets: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
-    """Vectorized window sums: element i is log_cum_window(fam, lam, offs[i], lens[i]).
+    """Vectorized window sums: element i is log_cum_window(fam, lam_i, offs[i], lens[i]).
 
-    Closed-form families are evaluated directly; the affine family builds one
-    transient cumulative-sum prefix (checker-grade accuracy, ~n*eps absolute).
+    ``lam`` is one scalar for every element, or an array shaped like
+    ``offsets`` holding each element's lam_i; the first inadmissible lam_i
+    raises with the scalar message.  Closed-form families are evaluated
+    elementwise, with the bits of one scalar-lam call per element (geometric
+    takes math.log once per distinct lam).  The affine family builds one
+    transient cumulative-sum prefix per distinct lam (checker-grade accuracy,
+    ~n*eps absolute); a prefix entry does not depend on the prefix length,
+    so array and scalar lam give the same bits here too.
     """
-    lam = _require_admissible(fam, lam)
+    if np.ndim(lam) == 0:
+        lam = np.full(np.shape(offsets), _require_admissible(fam, lam))
+    else:
+        lam = _require_admissible_array(fam, lam)
     offs = np.asarray(offsets, dtype=np.int64)
     lens = np.asarray(lengths, dtype=np.int64)
+    if lam.shape != offs.shape:
+        raise ValueError("an array lam must have the shape of the offsets")
     if (offs < 0).any() or (lens < 0).any():
         raise ValueError("window offsets and lengths must be nonnegative")
     v = fam.variant
     if v == "affine":
-        upto = int((offs + lens).max(initial=0))
-        if upto > 50_000_000:
+        ends = (offs + lens).ravel()
+        if int(ends.max(initial=0)) > 50_000_000:
             raise ValueError(
                 "affine windows beyond 5e7 need the scalar log_cum_window path")
-        pref = log_cum_prefix(fam, lam, upto)
-        return pref[offs + lens] - pref[offs]
+        out, starts = np.empty(ends.shape), offs.ravel()
+        uniq, inv = np.unique(lam.ravel(), return_inverse=True)
+        groups = np.split(np.argsort(inv, kind="stable"), np.cumsum(np.bincount(inv))[:-1])
+        for u, idx in zip(uniq.tolist(), groups):
+            pref = log_cum_prefix(fam, u, int(ends[idx].max()))
+            out[idx] = pref[ends[idx]] - pref[starts[idx]]
+        return out.reshape(offs.shape)
     out = np.zeros(offs.shape, dtype=np.float64)
     pos = lens > 0
     o = offs[pos].astype(np.float64)
     n = lens[pos].astype(np.float64)
+    lam = lam[pos]
     if v == "pure_power":
         vals = np.where(o == 0.0, lam * np.log(np.maximum(n, 1.0)),
                         lam * np.log1p(n / np.maximum(o, 1.0)))
@@ -357,7 +383,8 @@ def log_cum_windows(
     elif v == "power_ratio":
         vals = lam * np.log1p(n / (o + 1.0))
     else:  # geometric
-        vals = n * math.log(lam)
+        uniq, inv = np.unique(lam, return_inverse=True)
+        vals = n * np.array([math.log(u) for u in uniq.tolist()])[inv]
     out[pos] = vals
     return out
 

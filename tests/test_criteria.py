@@ -198,9 +198,67 @@ class TestBasicCriterionOracle:
             assert cond.witness == witness, name
         q = cov.q
         assert rep.conditions["III"].evaluations == q * samples**d * (m_hi - m_lo)
-        # q*d anchor windows, then one per cell, axis and sampled value of that
-        # axis: the s**d grid points share them
-        assert len(calls) == q * d + q * d * samples
+        # d anchor windows, then one per block of cells, axis and sampled value
+        # of that axis: the 4 cells fit one block, and the s**d grid points
+        # share the windows
+        assert len(calls) == d + d * samples
+
+    @pytest.mark.parametrize("cells_per_block", [4, 2, 1])
+    @pytest.mark.parametrize("space_norm,samples,d,m_lo,m_hi", [
+        (L1, 2, 2, 2, 4), (SUP, 3, 2, 1, 2), (SpaceNorm.lp(2), 2, 3, 1, 3),
+    ], ids=["l1", "sup-s3", "lp2-d3"])
+    def test_blocks_of_cells_give_default_reports(self, space_norm, samples, d, m_lo, m_hi,
+                                                  cells_per_block, monkeypatch):
+        fams, cov, v = self.instance(d)
+        args = (fams, cov, v, m_lo, m_hi, 0.1, samples, space_norm)
+        want = json.dumps(check_basic_criterion(*args).to_json_dict())
+        # a block holds _BLOCK // max(s**d * M, pairs per axis) cells
+        pairs = cov.q * max(len(x.support()) for x in v)
+        monkeypatch.setattr(criteria, "_BLOCK",
+                            cells_per_block * max(samples**d * (m_hi - m_lo + 1), pairs))
+        calls = []
+        windows = criteria.log_cum_windows
+        monkeypatch.setattr(criteria, "log_cum_windows",
+                            lambda *a: calls.append(a) or windows(*a))
+        assert json.dumps(check_basic_criterion(*args).to_json_dict()) == want
+        assert len(calls) == d + d * samples * (cov.q // cells_per_block)
+
+    def test_benchmark_sized_check_memory_is_blocked(self):
+        # the q = 256 log covering of the benchmark's criterion job: 16 x 16
+        # cells tiling [1.2, 1.3]^2 with powers 100**2 + 100 * (j + 1)
+        side = 0.1 / 16
+        cells = [Cell(10_000 + 100 * (j + 1), ((1.2 + (r + 0.5) * side), (1.2 + (c + 0.5) * side)),
+                      ((1.2 + r * side, 1.2 + (r + 1) * side),
+                       (1.2 + c * side, 1.2 + (c + 1) * side)))
+                 for j, (r, c) in enumerate(itertools.product(range(16), repeat=2))]
+        args = ((PP, PP), Covering(tuple(cells)), (SeqVec({0: 1.0, 1: 0.5}), SeqVec({0: 1.0})),
+                1, 2, 0.2, 3)
+        tracemalloc.start()
+        try:
+            rep = check_basic_criterion(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.conditions["II.b"].evaluations == 256 * 9 * 2
+        # blocks of 2**13 entries peak at about 1.3 MiB; all 256 cells at once, 9.5 MiB
+        assert peak < 3 * 2**20, peak
+
+    @pytest.mark.parametrize("family,cells,m_hi", [
+        # the forward coefficient 0.5**(-1000) is a double, its square is not
+        ("geometric", [{"n": 1000, "anchor": [0.5], "box": [[0.5, 1.5]]}], 2),
+        # at the sample lambda = 150 the display window 150*log(1000) exceeds 709
+        ("pure_power", [{"n": 1000, "anchor": [110.0], "box": [[100.0, 150.0]]}], 1),
+    ], ids=["power", "exp"])
+    def test_overflowing_float_op_exits_two(self, family, cells, m_hi, capsys):
+        job = {"command": "criterion-check", "payload": {
+            "families": [{"variant": family}], "covering": {"cells": cells},
+            "v": [{"entries": [[0, 1.0]]}], "m_lo": 1, "m_hi": m_hi, "eps": 0.1,
+            "samples_per_axis": 2}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(job) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "shiftlab: config error: non-finite coefficient in a criterion display"]
 
     def test_display_grid_guard_exits_two_before_any_window(self, monkeypatch, capsys):
         calls = []

@@ -440,6 +440,30 @@ class TestPrefixAndVectorized:
             assert g == pytest.approx(log_cum_window(fam, 0.9, int(o), int(n)),
                                       rel=1e-10, abs=1e-10)
 
+    @pytest.mark.parametrize("fam", FAMILIES)
+    def test_array_lam_windows_match_scalar_lam(self, fam):
+        # neighbouring cells share box endpoints, so array lams repeat
+        rng = random.Random(6)
+        pool = [0.9, 1.0, 1.0 + 1 / 3, 1.1, 2.5]
+        lams = np.array([rng.choice(pool) for _ in range(60)])
+        offs = np.array([rng.randrange(0, 500) for _ in range(60)])
+        lens = np.array([rng.randrange(0, 500) for _ in range(60)])
+        want = np.empty(60)
+        for lam in pool:
+            sel = lams == lam
+            want[sel] = log_cum_windows(fam, lam, offs[sel], lens[sel])
+        assert np.array_equal(log_cum_windows(fam, lams, offs, lens), want)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("fam", FAMILIES)
+    def test_array_lam_rejects_inadmissible(self, fam, bad):
+        with pytest.raises(InadmissibleParameterError) as scalar:
+            log_cum_windows(fam, bad, np.array([0]), np.array([3]))
+        lams = np.array([1.1, 0.9, bad, 2.0, bad])
+        with pytest.raises(InadmissibleParameterError) as array:
+            log_cum_windows(fam, lams, np.arange(5), np.full(5, 3))
+        assert str(array.value) == str(scalar.value)
+
     def test_large_offset_stability(self):
         # windows far out in the sequence keep relative accuracy
         got = log_cum_window(PP, 1.2, 10**7, 13)
