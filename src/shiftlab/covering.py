@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -271,19 +271,29 @@ def _pairwise_sup_dist(boxes: Sequence[Box]) -> np.ndarray:
 # -- log covering ---------------------------------------------------------------
 
 
+def _iroot(x: int, d: int) -> int:
+    """Largest integer g with g**d <= x, for x >= 0."""
+    g = int(round(x ** (1.0 / d)))
+    while g**d > x:
+        g -= 1
+    while (g + 1) ** d <= x:
+        g += 1
+    return g
+
+
+def _grid_boxes(K: Box, g: int) -> Iterator[Box]:
+    """Boxes of the g x ... x g grid over K in row-major order (last axis fastest)."""
+    sides = [(hi - lo) / g for lo, hi in K]
+    for idx in itertools.product(range(g), repeat=len(K)):
+        yield tuple((lo + i * s, lo + (i + 1) * s) for (lo, _), i, s in zip(K, idx, sides))
+
+
 def log_covering_cell_count(sigma: int, d: int = 2) -> int:
     """Largest d-th power of an integer not exceeding floor((log sigma)^3 + 1)."""
     raw = math.floor(math.log(sigma) ** 3 + 1.0)
     if raw < 1:
         raise CoveringInfeasibleError("budget", f"sigma = {sigma} too small: no cells")
-    g = int(round(raw ** (1.0 / d)))
-    while g**d > raw:
-        g -= 1
-    while (g + 1) ** d <= raw:
-        g += 1
-    if g < 1:
-        raise CoveringInfeasibleError("budget", f"sigma = {sigma} too small: no cells")
-    return g**d
+    return _iroot(raw, d) ** d
 
 
 def log_covering_power(p: LogCoveringParams, j: int) -> int:
@@ -299,30 +309,22 @@ def build_log_covering(p: LogCoveringParams, q_override: Optional[int] = None) -
     row-major order and cell j carries the exact integer power N_j.
     """
     d = p.d
-    if q_override is not None:
+    if q_override is None:
+        q = log_covering_cell_count(p.sigma, d)
+    else:
         q = int(q_override)
         if q < 1:
             raise ValueError("q_override must be >= 1")
-        g = int(round(q ** (1.0 / d)))
-        for cand in (g - 1, g, g + 1):
-            if cand >= 1 and cand**d == q:
-                g = cand
-                break
-        else:
-            raise ValueError(f"q_override = {q} is not a perfect {d}-th power")
-    else:
-        q = log_covering_cell_count(p.sigma, d)
-        g = int(round(q ** (1.0 / d)))
+    g = _iroot(q, d)
+    if g**d != q:
+        raise ValueError(f"q_override = {q} is not a perfect {d}-th power")
     a = min(lo for lo, _ in p.box)
     b = max(hi for _, hi in p.box)
-    side = (b - a) / g if g > 0 else 0.0
-    cells = []
-    # row-major: last axis varies fastest
-    for j, idx in enumerate(itertools.product(range(g), repeat=d), start=1):
-        box = tuple((a + i * side, a + (i + 1) * side) for i in idx)
-        anchor = tuple((lo + hi) / 2.0 for lo, hi in box)
-        cells.append(Cell(n=log_covering_power(p, j), anchor=anchor, box=box))
-    return Covering(cells=tuple(cells), params=p, kind="log")
+    cells = tuple(
+        Cell(n=log_covering_power(p, j), anchor=tuple((lo + hi) / 2.0 for lo, hi in box),
+             box=box)
+        for j, box in enumerate(_grid_boxes(((a, b),) * d, g), start=1))
+    return Covering(cells=cells, params=p, kind="log")
 
 
 # -- graded covering ------------------------------------------------------------
@@ -466,16 +468,6 @@ def verify_graded(cov: Covering, K, p: GradedParams) -> CriterionReport:
     return CriterionReport(conditions=props, section="properties")
 
 
-def _grid_cells(K: Box, g: int, schedule: Sequence[int]) -> Tuple[Cell, ...]:
-    # row-major g x ... x g grid over K, anchors at the lower corners
-    sides = [(hi - lo) / g for lo, hi in K]
-    cells = []
-    for n, idx in zip(schedule, itertools.product(range(g), repeat=len(K))):
-        box = tuple((lo + i * s, lo + (i + 1) * s) for (lo, _), i, s in zip(K, idx, sides))
-        cells.append(Cell(n=int(n), anchor=tuple(lo for lo, _ in box), box=box))
-    return tuple(cells)
-
-
 def build_graded_covering(K, p: GradedParams, g_max: int = 40) -> Covering:
     """Deterministic search for a covering that passes ``verify_graded``.
 
@@ -536,8 +528,10 @@ def build_graded_covering(K, p: GradedParams, g_max: int = 40) -> Covering:
                 continue
             if d >= 2 and S > p.D * (delta / schedule[-1]) ** p.alpha:
                 continue
-            cov = Covering(cells=_grid_cells(K, g, [int(n) for n in schedule]),
-                           params=p, kind="graded")
+            # anchors at the lower corners
+            cells = tuple(Cell(n=int(n), anchor=tuple(lo for lo, _ in box), box=box)
+                          for n, box in zip(schedule, _grid_boxes(K, g)))
+            cov = Covering(cells=cells, params=p, kind="graded")
             if verify_graded(cov, K, p).overall:
                 return cov
     raise CoveringInfeasibleError(

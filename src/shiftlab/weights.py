@@ -220,8 +220,8 @@ def _affine_prefix_table(alpha: float, lam: float, size: int):
     of the step s_i = fl(s_{i-1} + t_i), so s_i + c_i carries the prefix to
     about eps**2 (Ogita, Rump and Oishi, "Accurate sum and dot product",
     SISC 2005).  Entry i does not depend on ``size``.  Both are read-only
-    float64 buffers (at most 1 MB per table); lru_cache keeps the memo
-    bounded and safe to share between threads.
+    float64 buffers (at most 1 MB per table); lru_cache keeps the memo's
+    memory bounded.
     """
     t = _affine_terms(alpha, lam, np.arange(1, size, dtype=np.float64))
     s = np.zeros(size)

@@ -123,6 +123,7 @@ class Witness:
     eps: Tuple[float, ...]
     log_eps: Tuple[float, ...]
     coeffs: Dict[Tuple[int, int, int], float]  # (axis, l, j) -> d coefficient, j 1-based
+    anchor_windows: Dict[Tuple[int, int, int], float]  # same keys -> W(anchor_j, l, N_j)
     powers: List[int]
     q: int
     cprime: float
@@ -192,6 +193,7 @@ def build_witness(cfg: WitnessConfig, on_collision: str = "error") -> Witness:
     eps = tuple(math.exp(x) for x in log_eps)
 
     coeffs: Dict[Tuple[int, int, int], float] = {}
+    anchor_windows: Dict[Tuple[int, int, int], float] = {}
     vecs = []
     collision: set = set()
     for ax in range(d):
@@ -214,10 +216,11 @@ def build_witness(cfg: WitnessConfig, on_collision: str = "error") -> Witness:
                     f"cell power N_{j} = {n_j} smaller than (m-1)*sigma = {(m-1)*sigma}")
             anchor = cov.cells[j - 1].anchor[ax]
             for l, vl in sorted(cfg.v[ax].items()):
-                w = log_cum_window(cfg.fams[ax], anchor, l, n_j)
+                key = (ax, l, j)  # one tuple shared by both tables
+                w = anchor_windows[key] = log_cum_window(cfg.fams[ax], anchor, l, n_j)
                 logmag = math.log(abs(vl)) - math.log(m) - (m - 1) * log_eps[ax] - w
                 c = math.copysign(math.exp(logmag), vl)
-                coeffs[(ax, l, j)] = c
+                coeffs[key] = c
                 put(base_idx + l, c)
         put(sigma, eps[ax])
         vecs.append(SeqVec(entries))
@@ -227,8 +230,8 @@ def build_witness(cfg: WitnessConfig, on_collision: str = "error") -> Witness:
 
     cprime = min(lo / hi for lo, hi in cfg.log_cov.box) - 1.0 / m
     return Witness(vectors=tuple(vecs), eps=eps, log_eps=tuple(log_eps), coeffs=coeffs,
-                   powers=list(powers), q=q, cprime=cprime, covering=cov,
-                   collision_indices=tuple(sorted(collision)))
+                   anchor_windows=anchor_windows, powers=list(powers), q=q, cprime=cprime,
+                   covering=cov, collision_indices=tuple(sorted(collision)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +303,8 @@ def eval_analytic(w: Witness, cfg: WitnessConfig, lam: Sequence[float]) -> Witne
     computes, per axis, the approach error ||P1 - v||_1, the later-cell tail
     ||P2||_1 and the separator tail ||P3||_1 from log-window ratios.  The
     premature powers are reported as exactly zero when support arithmetic
-    certifies they vanish, and by sparse expansion otherwise.
+    certifies they vanish, and by sparse expansion otherwise.  The anchor
+    windows are read from ``w``, so ``cfg`` must be the config it was built from.
     """
     lam = tuple(float(x) for x in lam)
     i = locate_cell(w.covering, lam)
@@ -313,11 +317,9 @@ def eval_analytic(w: Witness, cfg: WitnessConfig, lam: Sequence[float]) -> Witne
     branches = []
     for ax in range(d):
         fam = cfg.fams[ax]
-        anchor_i = w.covering.cells[i].anchor[ax]
         err = math.fsum(
             abs(vl) * abs(math.expm1(
-                log_cum_window(fam, lam[ax], l, n_i)
-                - log_cum_window(fam, anchor_i, l, n_i)))
+                log_cum_window(fam, lam[ax], l, n_i) - w.anchor_windows[(ax, l, i + 1)]))
             for l, vl in sorted(cfg.v[ax].items()))
         p1.append(err)
 
@@ -330,7 +332,7 @@ def eval_analytic(w: Witness, cfg: WitnessConfig, lam: Sequence[float]) -> Witne
             for l, vl in sorted(cfg.v[ax].items()):
                 t = abs(vl) * math.exp(
                     log_cum_window(fam, lam[ax], n_j - n_i + l, n_i)
-                    - log_cum_window(fam, anchor_j, l, n_j))
+                    - w.anchor_windows[(ax, l, j + 1)])
                 terms.append(t)
                 if t > worst_term:
                     worst_term = t

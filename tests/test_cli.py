@@ -296,6 +296,22 @@ class TestExitCodeContract:
         self.assert_contract("carac-check", payload, ("schedule", 0, 0), value,
                              tmp_path, capsys)
 
+    def test_criterion_check_product_is_coordinatewise_only(self, tmp_path, capsys):
+        # the checker computes coordinatewise displays only, so the schema
+        # admits no other product
+        payload = json.loads((EXAMPLES / "criterion_check.json").read_text())
+        golden = Path(__file__).resolve().parent / "golden" / "criterion_check.json"
+        out = tmp_path / "crit.json"
+        job = {"command": "criterion-check", "payload": dict(payload, product="convolution"),
+               "output": {"format": "json", "path": str(out)}}
+        assert run(job) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("shiftlab: config error:")
+        assert not out.exists()
+        job["payload"] = dict(payload, product="coordinatewise")
+        assert run(job) == 0
+        assert out.read_bytes() == golden.read_bytes()
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):

@@ -68,6 +68,26 @@ def test_criterion_check_d3_report_bytes(tmp_path):
     assert got == (GOLDEN / "criterion_check_d3.json").read_bytes()
 
 
+# the paper's own family, affine(alpha = 0) on both axes, through the witness
+# path: the docs/examples/witness_sweep.json config at three small bases
+WITNESS_SWEEP_AFFINE0 = {
+    "bases": [8, 16, 32],
+    "config": {
+        "eta": 0.05,
+        "log_cov": {"base": 128, "box": [[1.2, 1.3], [1.2, 1.3]], "m": 2, "r": 1},
+        "u": [{"entries": []}, {"entries": []}],
+        "v": [{"entries": [[0, 1.0], [1, 0.5]]}, {"entries": [[0, 1.0]]}],
+        "families": [{"variant": "affine", "alpha": 0.0}] * 2,
+    },
+    "grid_per_axis": 3,
+}
+
+
+def test_witness_sweep_affine0_report_bytes(tmp_path):
+    got = report_bytes(tmp_path, "witness-sweep", WITNESS_SWEEP_AFFINE0)
+    assert got == (GOLDEN / "witness_sweep_affine0.json").read_bytes()
+
+
 def test_cover_verify_of_graded_build(tmp_path):
     covering = json.loads((GOLDEN / "graded_cover_build.json").read_text())
     payload = {"covering": covering, "K": example("graded_cover_build")["K"]}

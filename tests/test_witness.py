@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from shiftlab.covering import LogCoveringParams, build_log_covering
+from shiftlab import witness
+from shiftlab.covering import Covering, LogCoveringParams, build_log_covering
 from shiftlab.seqspace import SeqVec, basis
 from shiftlab.weights import WeightFamily, lipschitz_ratio, log_cum_window
 from shiftlab.witness import (
@@ -147,6 +148,60 @@ class TestAnalytic:
         ev = eval_analytic(w, cfg, (1.2, 1.2))  # first cell, below later anchors
         assert ev.cell_index == 0
         assert set(ev.dominant_branch) <= {-1, 0, 1}
+
+
+V2 = (basis(0) + 0.5 * basis(1), basis(0))
+
+
+def merged_collision_config():
+    # base 4, q = 4: the d-block of cell 3 meets the separator index 16
+    p = LogCoveringParams(box=BOX, m=2, r=1, base=4)
+    cov = build_log_covering(p, q_override=4)
+    return WitnessConfig(log_cov=p, u=zero_pair(), v=V2, eta=0.1, cov_override=cov)
+
+
+def past_separator_config():
+    # the last cell's power exceeds m*sigma, so its P3 needs no window
+    p = LogCoveringParams(box=BOX, m=2, r=1, base=100)
+    cells = [c.to_json_dict() for c in build_log_covering(p, q_override=4).cells]
+    cells[-1]["n"] = 2 * 10**4 + 7
+    cov = Covering.from_json_dict({"cells": cells})
+    return WitnessConfig(log_cov=p, u=zero_pair(), v=V2, eta=0.1, cov_override=cov)
+
+
+@pytest.fixture
+def window_calls(monkeypatch):
+    """Arguments of every log_cum_window call made from the witness module."""
+    calls = []
+    window = witness.log_cum_window
+    monkeypatch.setattr(witness, "log_cum_window",
+                        lambda *args: calls.append(args) or window(*args))
+    return calls
+
+
+class TestAnchorWindows:
+    @pytest.mark.parametrize("cfg, mode", [
+        (override_config(v=V2), "error"),
+        (merged_collision_config(), "merge"),
+    ])
+    def test_one_window_per_coefficient(self, cfg, mode):
+        w = build_witness(cfg, on_collision=mode)
+        assert w.anchor_windows.keys() == w.coeffs.keys()
+        for (ax, l, j), got in w.anchor_windows.items():
+            anchor = w.covering.cells[j - 1].anchor[ax]
+            assert got == log_cum_window(cfg.fams[ax], anchor, l, w.powers[j - 1])
+
+    @pytest.mark.parametrize("cfg", [override_config(v=V2, q=9), past_separator_config()])
+    def test_eval_reads_anchor_windows(self, cfg, window_calls):
+        # per axis: |supp v| windows for P1, (q - 1 - i)*|supp v| for P2 and
+        # one for P3 when m*sigma >= N_i; no anchor window is recomputed
+        w = build_witness(cfg)
+        for i in range(w.q):
+            window_calls.clear()
+            assert eval_analytic(w, cfg, w.covering.cells[i].anchor).cell_index == i
+            tail = 1 if cfg.m * cfg.sigma >= w.powers[i] else 0
+            assert len(window_calls) == sum((w.q - i) * cfg.v[ax].nnz + tail
+                                            for ax in range(cfg.d))
 
 
 class TestOracleEquivalence:
