@@ -111,7 +111,8 @@ class WitnessConfig:
             u=tuple(SeqVec.from_json_dict(x) for x in obj["u"]),
             v=tuple(SeqVec.from_json_dict(x) for x in obj["v"]),
             eta=float(obj["eta"]),
-            fams=tuple(WeightFamily.from_json_dict(f) for f in fams) if fams else None,
+            fams=(tuple(WeightFamily.from_json_dict(f) for f in fams)
+                  if fams is not None else None),
             cov_override=(Covering.from_json_dict(obj["cov_override"])
                           if obj.get("cov_override") else None),
         )
@@ -450,27 +451,28 @@ def sweep_sigma(cfg_template: WitnessConfig, bases: Sequence[int],
     bases = [int(b) for b in bases]
     if any(b2 <= b1 for b1, b2 in zip(bases, bases[1:])):
         raise ValueError("bases must be strictly increasing")
-    lam_min = min(lo for lo, _ in cfg_template.log_cov.box)
-    rows = []
-    for base in bases:
-        cfg = replace(cfg_template,
-                      log_cov=replace(cfg_template.log_cov, base=base),
-                      cov_override=None)
-        # small-sigma rows may collide on the separator index; the analytic
-        # components stay formula-true and such rows report separation_ok=False
-        w = build_witness(cfg, on_collision="merge")
-        evals = [eval_analytic(w, cfg, lam)
-                 for lam in _lambda_grid(cfg.log_cov.box, grid_per_axis)]
-        rows.append({
-            "sigma": cfg.sigma,
-            "q": w.q,
-            "N_1": w.powers[0],
-            "N_q": w.powers[-1],
-            "separation_ok": all(e.separation_ok for e in evals),
-            "p1_worst": max(math.fsum(e.p1_err) for e in evals),
-            "p2_worst": max(math.fsum(e.p2_norm) for e in evals),
-            "p3_worst": max(math.fsum(e.p3_norm) for e in evals),
-            "premature_max": max(e.premature_max for e in evals),
-            "predicted_p2_slope": -w.cprime * lam_min,
-        })
-    return rows
+    return [_sweep_row(cfg_template, base, grid_per_axis) for base in bases]
+
+
+def _sweep_row(cfg_template: WitnessConfig, base: int, grid_per_axis: int) -> dict:
+    """One ``sweep_sigma`` row; its witness is freed when the row returns."""
+    cfg = replace(cfg_template,
+                  log_cov=replace(cfg_template.log_cov, base=base),
+                  cov_override=None)
+    # small-sigma rows may collide on the separator index; the analytic
+    # components stay formula-true and such rows report separation_ok=False
+    w = build_witness(cfg, on_collision="merge")
+    evals = [eval_analytic(w, cfg, lam)
+             for lam in _lambda_grid(cfg.log_cov.box, grid_per_axis)]
+    return {
+        "sigma": cfg.sigma,
+        "q": w.q,
+        "N_1": w.powers[0],
+        "N_q": w.powers[-1],
+        "separation_ok": all(e.separation_ok for e in evals),
+        "p1_worst": max(math.fsum(e.p1_err) for e in evals),
+        "p2_worst": max(math.fsum(e.p2_norm) for e in evals),
+        "p3_worst": max(math.fsum(e.p3_norm) for e in evals),
+        "premature_max": max(e.premature_max for e in evals),
+        "predicted_p2_slope": -w.cprime * min(lo for lo, _ in cfg.log_cov.box),
+    }

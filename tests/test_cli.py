@@ -312,6 +312,24 @@ class TestExitCodeContract:
         assert run(job) == 0
         assert out.read_bytes() == golden.read_bytes()
 
+    @pytest.mark.parametrize("name,path,value", [
+        *(("orbit_probe", ("x", 0, "entries", 0), pair)
+          for pair in ([0.5, 1.0], ["1", 1.0], [True, 1.0], [1, "2.5"], [1, True])),
+        ("witness_eval", ("config", "families"), []),
+    ], ids=["index_0.5", "index_str", "index_true", "coeff_str", "coeff_true", "no_families"])
+    def test_malformed_shared_form_exits_two(self, name, path, value, tmp_path, capsys):
+        # a sequence entry is [integer >= 0, number] and nothing is coerced
+        # into one; a families list is never empty ([] ran pure_power on
+        # every axis of a witness config)
+        payload = json.loads((EXAMPLES / f"{name}.json").read_text())
+        out = tmp_path / "report.json"
+        job = {"command": EXAMPLE_COMMANDS[name], "payload": with_leaf(payload, path, value),
+               "output": {"format": "json", "path": str(out)}}
+        assert run(job) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("shiftlab: config error:"), err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
@@ -539,6 +557,37 @@ class TestSchemas:
         for cmd in COMMANDS:
             schema = _schema_for(cmd)
             assert schema["type"] == "object"
+
+    # property names under which several schemas hold the same payload form
+    SHARED_FORMS = (("entries",), ("family",), ("families",), ("norm",), ("F",), ("I0",),
+                    ("K", "region", "box"), ("covering", "cov_override"), ("log_cov",),
+                    ("config",))
+
+    def test_shared_forms_agree_in_every_schema(self):
+        # each command schema is read on its own, so a shared form is repeated
+        # in every file that uses it; the copies must not drift apart
+        from importlib import resources
+
+        found = {names: [] for names in self.SHARED_FORMS}
+
+        def collect(node, where):
+            if isinstance(node, list):
+                for val in node:
+                    collect(val, where)
+            elif isinstance(node, dict):
+                for key, sub in node.get("properties", {}).items():
+                    for names in self.SHARED_FORMS:
+                        if key in names:
+                            found[names].append((where, json.dumps(sub, sort_keys=True)))
+                for val in node.values():
+                    collect(val, where)
+
+        for f in resources.files("shiftlab.schemas").iterdir():
+            if f.name.endswith(".schema.json"):
+                collect(json.loads(f.read_text()), f.name)
+        for names, copies in found.items():
+            assert len(copies) >= 2, names
+            assert len({form for _, form in copies}) == 1, (names, sorted(copies))
 
     def test_every_schema_is_draft07(self):
         # a 2020-12 declaration made each validate call check the schema

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -334,6 +335,23 @@ class TestSweep:
         with pytest.raises(ValueError, match="increasing"):
             sweep_sigma(cfg, [256, 128])
 
+    def test_previous_row_is_freed_before_next_row(self):
+        # a row's witness and evaluations must not be alive while the next
+        # row's witness is built: the peak of two rows is that of the larger
+        p = LogCoveringParams(box=BOX, m=2, r=1, base=17)
+        cfg = WitnessConfig(log_cov=p, u=zero_pair(), v=(basis(0), basis(0)), eta=0.05)
+        sweep_sigma(cfg, [16, 17], grid_per_axis=2)  # fill the window caches
+
+        def peak(bases):
+            tracemalloc.start()
+            try:
+                sweep_sigma(cfg, bases, grid_per_axis=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak([16, 17]) < 1.25 * peak([17])
+
     def test_predicted_slope_column(self):
         cfg = override_config()
         rows = sweep_sigma(replace(cfg, cov_override=None), [100], grid_per_axis=2)
@@ -351,6 +369,15 @@ class TestConfigJson:
         w1 = build_witness(cfg)
         w2 = build_witness(back)
         assert w1.vectors == w2.vectors
+
+    def test_empty_families_are_not_the_default(self):
+        # an empty list is d = 0 families, not "pure_power on every axis"
+        obj = override_config().to_json_dict()
+        obj["families"] = []
+        with pytest.raises(ValueError, match="need 2 weight families"):
+            WitnessConfig.from_json_dict(obj)
+        del obj["families"]
+        assert WitnessConfig.from_json_dict(obj).fams == (PP, PP)
 
     def test_eta_positive(self):
         p = LogCoveringParams(box=BOX, m=2, r=1, base=100)
