@@ -27,8 +27,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .covering import CheckResult, Covering, CriterionReport, box_union_covers, as_box
-from .lognum import logsumexp
-from .seqspace import _TINY, L1, SeqVec, SpaceNorm, _norm, cw_root
+from .seqspace import _TINY, L1, MAX_INDEX, SeqVec, SpaceNorm, _norm, cw_root
 from .weights import (
     LipschitzProfile,
     WeightFamily,
@@ -40,6 +39,7 @@ from .weights import (
     log_cum_chunks,
     log_cum_prefix,
     log_cum_window,
+    log_cum_window_offsets,
     log_cum_windows,
     log_weight,
 )
@@ -83,14 +83,30 @@ def _cell_bins(cell: np.ndarray, off: np.ndarray):
     return bins, c[new]
 
 
-def _norm_from_logcoeffs(logcs: Sequence[float], n: SpaceNorm) -> float:
-    """Norm of a vector given the logs of its (positive) coefficients."""
-    logcs = [c for c in logcs if c != -math.inf]
-    if not logcs:
-        return 0.0
+def _norm_from_logcoeffs(rows, n: SpaceNorm) -> list:
+    """Norms of the vectors whose (positive) coefficients have the logs in each row.
+
+    -inf logs are zero coefficients and drop out: exp(-inf - top) is 0.0,
+    and a row of them has norm 0.0.  Each norm has the bits of lognum's
+    logsumexp over the row: the row maxima and the shifts x - top are exact
+    in numpy, and math.exp and math.fsum do the rest, since numpy's exp can
+    differ from libm's in the last bit.
+    """
+    x = np.asarray(rows, dtype=np.float64)
+    if n.kind != "sup":
+        x = n.p * x
+    tops = x.max(axis=1, initial=-math.inf)
     if n.kind == "sup":
-        return math.exp(max(logcs))
-    return math.exp(logsumexp([n.p * c for c in logcs]) / n.p)
+        return [0.0 if t == -math.inf else math.exp(t) for t in tops.tolist()]
+    with np.errstate(invalid="ignore"):  # inf - inf in rows whose top is infinite
+        x -= tops[:, None]
+    out = []
+    for t, row in zip(tops.tolist(), x):
+        if math.isinf(t):  # logsumexp returns an infinite top as it is
+            out.append(0.0 if t < 0.0 else math.inf)
+        else:
+            out.append(math.exp((t + math.log(math.fsum(map(math.exp, row.tolist())))) / n.p))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +194,17 @@ def check_basic_criterion(
             witness=None if covered else {"uncovered_point": list(missing)})
     conds["II.a"] = CheckResult(total <= eps, total, eps, evaluations=1)
 
-    # sampled lambdas per cell, axis and sample
-    lams = np.asarray([[[c.anchor[ax]] if s == 1 else np.linspace(lo, hi, s)
+    # sampled lambdas per cell, axis and sample: one np.linspace per distinct
+    # box side, keyed by float.hex because 0.0 == -0.0
+    sides = {}
+
+    def spaced(lo: float, hi: float) -> np.ndarray:
+        key = (float(lo).hex(), float(hi).hex())
+        if key not in sides:
+            sides[key] = np.linspace(lo, hi, s)
+        return sides[key]
+
+    lams = np.asarray([[[c.anchor[ax]] if s == 1 else spaced(lo, hi)
                         for ax, (lo, hi) in enumerate(c.box)] for c in cells], dtype=np.float64)
 
     def tables(i0: int, nb: int):
@@ -550,36 +575,37 @@ def check_carac_conditions(
     worst_ii = (-math.inf, None)
     for ax in range(d):
         logcs = [-log_cum_window(fams[ax], lam[ax], 0, n_k) / p.m for n_k, lam in sched]
-        val = _norm_from_logcoeffs(logcs, p.space_norm)
+        val = _norm_from_logcoeffs([logcs], p.space_norm)[0]
         if val > worst_ii[0]:
             worst_ii = (val, {"axis": ax})
     conds["ii"] = CheckResult(
         worst_ii[0] < p.eps, worst_ii[0], p.eps, witness=worst_ii[1],
         evaluations=d * q)
 
-    # (iii) tail sums over j > k for every (k, axis, l).  The denominator
-    # window(lambda_j, l, n_j) does not depend on k: dens[ax][j][l] holds it
-    # for j >= 1, computed one lambda_j at a time so the window memo stays warm.
-    dens = [[None] + [[log_cum_window(fams[ax], lam_j[ax], l, n_j) for l in range(p.N + 1)]
-                      for n_j, lam_j in sched[1:]]
-            for ax in range(d)]
+    # (iii) tail sums over j > k for every (k, axis, l).  Per (k, axis), one
+    # array call gives window(lambda_k, n_j - n_k + l, n_k) for j >= k as an
+    # (N + 1, q - k) table: column j = k is the denominator window(lambda_k,
+    # l, n_k) that every earlier k reads, so k runs backwards and dens[ax, k]
+    # keeps it; the other columns are the numerators, and row l minus the
+    # later denominators holds the tail's log coefficients in j order.  The
+    # scan is reversed too, so >= keeps the first maximum in (k, axis, l) order.
+    dt = np.int64 if ns[-1] + p.N <= MAX_INDEX else object
+    ls = np.arange(p.N + 1).astype(dt)
+    dens = np.empty((d, q, p.N + 1))
     worst_iii = (-math.inf, None)
-    evals = 0
-    for k in range(q):
+    for k in reversed(range(q)):
         n_k, lam_k = sched[k]
-        for ax in range(d):
-            den = dens[ax]
-            for l in range(p.N + 1):
-                logcs = []
-                for j in range(k + 1, q):
-                    num = log_cum_window(fams[ax], lam_k[ax], sched[j][0] - n_k + l, n_k)
-                    logcs.append(num - den[j][l])
-                evals += 1
-                if not logcs:
-                    continue
-                val = _norm_from_logcoeffs(logcs, p.space_norm)
-                if val > worst_iii[0]:
-                    worst_iii = (val, {"k": k, "axis": ax, "l": l})
+        offs = (np.asarray(ns[k:], dtype=dt) - n_k)[None, :] + ls[:, None]
+        for ax in reversed(range(d)):
+            w = _windows_at(fams[ax], lam_k[ax], offs, n_k)
+            dens[ax, k] = w[:, 0]
+            if k == q - 1:
+                continue
+            vals = _norm_from_logcoeffs(w[:, 1:] - dens[ax, k + 1:].T, p.space_norm)
+            for l in reversed(range(p.N + 1)):
+                if vals[l] >= worst_iii[0]:
+                    worst_iii = (vals[l], {"k": k, "axis": ax, "l": l})
+    evals = q * d * (p.N + 1)
     if worst_iii[0] == -math.inf:
         worst_iii = (0.0, None)
     conds["iii"] = CheckResult(
@@ -592,6 +618,21 @@ def check_carac_conditions(
     meta = {"q": q, "d": d, "m": p.m, "tau": p.tau, "N": p.N, "eps": p.eps,
             "norm": p.space_norm.to_json()}
     return CriterionReport(conditions=conds, meta=meta)
+
+
+def _windows_at(fam: WeightFamily, lam: float, offs: np.ndarray, n: int) -> np.ndarray:
+    """window(lam, l, n) for every offset l in offs.
+
+    Affine windows are one log_cum_window_offsets call: a gather from the
+    compensated prefix table.  Closed forms have no table; they take this
+    module's log_cum_window one window at a time, with the same bits, so
+    that perfbench/tests/test_bench_checks.py, which patches that name, can
+    still see the carac oracle catch a wrong window offset.
+    """
+    if fam.variant == "affine":
+        return log_cum_window_offsets(fam, lam, offs, n)
+    return np.reshape([log_cum_window(fam, lam, l, n) for l in offs.ravel().tolist()],
+                      offs.shape)
 
 
 def _carac_hypothesis_probe(fams, ns, fns, p: CaracParams) -> CheckResult:

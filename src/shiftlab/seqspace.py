@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -138,7 +139,21 @@ class SeqVec:
     def from_json_dict(cls, obj: dict) -> "SeqVec":
         if not isinstance(obj, dict) or "entries" not in obj:
             raise ValueError("sequence JSON must be an object with an 'entries' list")
-        return cls((int(k), float(c)) for k, c in obj["entries"])
+        return cls(_json_entry(k, c) for k, c in obj["entries"])
+
+
+def _json_entry(k, c) -> Tuple[int, float]:
+    """One [index, coefficient] pair as the schema reads it, or ValueError.
+
+    The index is an integer (an integral float such as 1.0 included) and the
+    coefficient a number; bools and strings are neither.
+    """
+    if isinstance(k, bool) or not (isinstance(k, numbers.Integral)
+                                   or isinstance(k, float) and k.is_integer()):
+        raise ValueError(f"sequence index must be an integer, got {k!r}")
+    if isinstance(c, bool) or not isinstance(c, numbers.Real):
+        raise ValueError(f"sequence coefficient must be a number, got {c!r}")
+    return int(k), float(c)
 
 
 def basis(k: int) -> SeqVec:

@@ -11,7 +11,9 @@ The scalar affine window sum_{i=l+1}^{l+n} log1p(lam / i**(1-alpha)) takes
 one of three paths; each is measured against math.fsum of the same float
 terms (or mpmath) in tests/test_weights.py:
     table     l + n < _TABLE_MAX (2**16): O(1) difference of a memoized
-              compensated prefix table, within 1 ulp of fsum
+              compensated prefix table, within 1 ulp of fsum; for one
+              (lam, n) and an array of offsets, log_cum_window_offsets
+              reads it with one gather
     Stirling  alpha == 0, n > _FSUM_MAX (2**21): Gamma-ratio telescoping
               with lognum.lgamma_ratio, relative error below 1e-11
     fsum      any other window: math.fsum over chunks of at most _FSUM_MAX
@@ -235,13 +237,26 @@ def _affine_prefix_table(alpha: float, lam: float, size: int):
     return memoryview(s).toreadonly(), memoryview(c).toreadonly()
 
 
+def _table_diff(sb, sl, cb, cl):
+    """The window (sb + cb) - (sl + cl) between two compensated prefix entries.
+
+    sb >= sl >= 0, so Fast2Sum recovers the rounding error of hi.  Python
+    floats and float64 arrays give the same bits: each step is one IEEE
+    operation.
+    """
+    hi = sb - sl
+    return hi + (((sb - hi) - sl) + (cb - cl))
+
+
+def _table_size(b: int) -> int:
+    return max(_TABLE_MIN, 1 << b.bit_length())
+
+
 def _affine_window(alpha: float, lam: float, l: int, n: int) -> float:
     b = l + n
     if b < _TABLE_MAX:
-        s, c = _affine_prefix_table(alpha, lam, max(_TABLE_MIN, 1 << b.bit_length()))
-        # s[b] >= s[l] >= 0, so Fast2Sum recovers the rounding error of hi
-        hi = s[b] - s[l]
-        return hi + (((s[b] - hi) - s[l]) + (c[b] - c[l]))
+        s, c = _affine_prefix_table(alpha, lam, _table_size(b))
+        return _table_diff(s[b], s[l], c[b], c[l])
     if alpha == 0.0 and n > _FSUM_MAX:
         # prod_{i=l+1}^{l+n} (1 + lam/i) = Gamma-ratio telescoping
         return _affine0_lgamma_shift(lam, l + n + 1) - _affine0_lgamma_shift(lam, l + 1)
@@ -259,6 +274,11 @@ def log_cum_window(fam: WeightFamily, lam: float, l: int, n: int) -> float:
     lam = _require_admissible(fam, lam)
     if l < 0 or n < 0:
         raise ValueError("window offset and length must be nonnegative")
+    return _window(fam, lam, l, n)
+
+
+def _window(fam: WeightFamily, lam: float, l: int, n: int) -> float:
+    """log_cum_window for an admissible lam and l, n >= 0, unchecked."""
     if n == 0:
         return 0.0
     v = fam.variant
@@ -277,6 +297,42 @@ def log_cum_window(fam: WeightFamily, lam: float, l: int, n: int) -> float:
     if v == "geometric":
         return n * math.log(lam)
     return _affine_window(fam.alpha, lam, l, n)
+
+
+def log_cum_window_offsets(fam: WeightFamily, lam: float, offsets, n: int) -> np.ndarray:
+    """Array form of log_cum_window for one lam and n: element i is
+    log_cum_window(fam, lam, offsets[i], n), with its bits.
+
+    The offsets are an int64 array, or an object array of Python ints where
+    windows reach beyond 2**63 - 1.  lam, n and the offsets are validated
+    once per call.  Affine windows ending below _TABLE_MAX read the
+    compensated prefix table sized for the largest such end with one gather;
+    a table entry does not depend on the table's size, so each has the bits
+    of the scalar table path.  Closed forms and the longer affine windows
+    loop the scalar path: numpy's log1p, expm1 and power can differ from
+    libm's in the last bit.
+    """
+    lam = _require_admissible(fam, lam)
+    offs = np.asarray(offsets)
+    if offs.dtype != object:
+        offs = offs.astype(np.int64, copy=False)
+    if n < 0 or (offs < 0).any():
+        raise ValueError("window offset and length must be nonnegative")
+    out = np.empty(offs.shape)
+    loop = np.ones(offs.shape, dtype=bool)
+    if fam.variant == "affine" and n > 0:
+        ends = offs + n
+        loop = ends >= _TABLE_MAX
+        if not loop.all():
+            near = ~loop
+            b = ends[near].astype(np.int64, copy=False)
+            l = offs[near].astype(np.int64, copy=False)
+            s, c = _affine_prefix_table(fam.alpha, lam, _table_size(int(b.max())))
+            s, c = np.asarray(s), np.asarray(c)
+            out[near] = _table_diff(s[b], s[l], c[b], c[l])
+    at = np.flatnonzero(loop)
+    out.flat[at] = [_window(fam, lam, l, n) for l in offs.flat[at].tolist()]
+    return out
 
 
 def log_cum_prefix(fam: WeightFamily, lam: float, upto: int) -> np.ndarray:

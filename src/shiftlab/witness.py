@@ -114,7 +114,7 @@ class WitnessConfig:
             fams=(tuple(WeightFamily.from_json_dict(f) for f in fams)
                   if fams is not None else None),
             cov_override=(Covering.from_json_dict(obj["cov_override"])
-                          if obj.get("cov_override") else None),
+                          if obj.get("cov_override") is not None else None),
         )
 
 

@@ -13,7 +13,14 @@ import pytest
 
 from shiftlab import criteria, weights
 from shiftlab.cli import run
-from shiftlab.covering import Cell, Covering, GradedParams, build_graded_covering
+from shiftlab.covering import (
+    Cell,
+    CheckResult,
+    Covering,
+    CriterionReport,
+    GradedParams,
+    build_graded_covering,
+)
 from shiftlab.criteria import (
     CaracParams,
     UnifParams,
@@ -22,12 +29,14 @@ from shiftlab.criteria import (
     check_corollary_hypotheses,
     check_unif_hypotheses,
 )
+from shiftlab.lognum import logsumexp
 from shiftlab.seqspace import L1, SUP, ProductKind, SeqVec, SpaceNorm, basis, norm, power
 from shiftlab.weights import (
     LipschitzProfile,
     WeightFamily,
     apply_backward_power,
     apply_forward_root_power,
+    log_cum_window,
 )
 
 AFF0 = WeightFamily.affine(0.0)
@@ -242,6 +251,19 @@ class TestBasicCriterionOracle:
         assert rep.conditions["II.b"].evaluations == 256 * 9 * 2
         # blocks of 2**13 entries peak at about 1.3 MiB; all 256 cells at once, 9.5 MiB
         assert peak < 3 * 2**20, peak
+
+    def test_one_linspace_per_distinct_box_side(self, monkeypatch):
+        # 4 x 4 cells tiling a square: both axes share the same 4 sides
+        side = 0.1 / 4
+        cells = [Cell(100 * (j + 1), (1.2 + (r + 0.5) * side, 1.2 + (c + 0.5) * side),
+                      ((1.2 + r * side, 1.2 + (r + 1) * side),
+                       (1.2 + c * side, 1.2 + (c + 1) * side)))
+                 for j, (r, c) in enumerate(itertools.product(range(4), repeat=2))]
+        calls = []
+        linspace = np.linspace
+        monkeypatch.setattr(np, "linspace", lambda *a: calls.append(a) or linspace(*a))
+        check_basic_criterion((PP, PP), Covering(tuple(cells)), (basis(0), basis(0)), 1, 2, 0.2, 3)
+        assert len(calls) == len({a[:2] for a in calls}) == 4
 
     @pytest.mark.parametrize("family,cells,m_hi", [
         # the forward coefficient 0.5**(-1000) is a double, its square is not
@@ -802,6 +824,20 @@ class TestCaracAffineTails:
         assert rep.conditions["iii"].achieved == pytest.approx(achieved, rel=1e-12)
         assert rep.conditions["iii"].witness == witness
 
+    def test_iii_makes_one_array_call_per_point_and_axis(self, monkeypatch):
+        sched, p = self.instance()
+        calls, scalar = [], []
+        offsets, window = criteria.log_cum_window_offsets, criteria.log_cum_window
+        monkeypatch.setattr(criteria, "log_cum_window_offsets",
+                            lambda *a: calls.append(a) or offsets(*a))
+        monkeypatch.setattr(criteria, "log_cum_window", lambda *a: scalar.append(a) or window(*a))
+        rep = check_carac_conditions((AFF0, AFF0), sched, p)
+        d, q = 2, self.Q
+        # one table per point k and axis, its first column the denominators;
+        # (iii) makes no scalar window call
+        assert len(calls) == d * q
+        assert len(scalar) == rep.conditions["ii"].evaluations + 2 * rep.conditions["H"].evaluations
+
     def test_iii_window_calls_are_hoisted(self, monkeypatch):
         sched, p = self.instance()
         calls = []
@@ -817,6 +853,99 @@ class TestCaracAffineTails:
         others = rep.conditions["ii"].evaluations + 2 * rep.conditions["H"].evaluations
         assert len(calls) - others <= d * (N + 1) * (q * (q - 1) // 2 + q)
         assert all(isinstance(l, int) and isinstance(n, int) for l, n in calls)
+
+
+def scalar_norm_from_logcoeffs(logcs, n):
+    """The norm of one vector from the logs of its coefficients, value by value."""
+    logcs = [c for c in logcs if c != -math.inf]
+    if not logcs:
+        return 0.0
+    if n.kind == "sup":
+        return math.exp(max(logcs))
+    return math.exp(logsumexp([n.p * c for c in logcs]) / n.p)
+
+
+def carac_tails_scalar(fams, sched, p):
+    """Conditions (ii) and (iii) with one scalar window call per coefficient."""
+    q, d = len(sched), len(fams)
+    worst_ii = (-math.inf, None)
+    for ax in range(d):
+        logcs = [-log_cum_window(fams[ax], lam[ax], 0, n_k) / p.m for n_k, lam in sched]
+        val = scalar_norm_from_logcoeffs(logcs, p.space_norm)
+        if val > worst_ii[0]:
+            worst_ii = (val, {"axis": ax})
+    ii = CheckResult(worst_ii[0] < p.eps, worst_ii[0], p.eps, witness=worst_ii[1],
+                     evaluations=d * q)
+    dens = [[None] + [[log_cum_window(fams[ax], lam_j[ax], l, n_j) for l in range(p.N + 1)]
+                      for n_j, lam_j in sched[1:]]
+            for ax in range(d)]
+    worst, evals = (-math.inf, None), 0
+    for k in range(q):
+        n_k, lam_k = sched[k]
+        for ax in range(d):
+            for l in range(p.N + 1):
+                logcs = [log_cum_window(fams[ax], lam_k[ax], sched[j][0] - n_k + l, n_k)
+                         - dens[ax][j][l] for j in range(k + 1, q)]
+                evals += 1
+                if not logcs:
+                    continue
+                val = scalar_norm_from_logcoeffs(logcs, p.space_norm)
+                if val > worst[0]:
+                    worst = (val, {"k": k, "axis": ax, "l": l})
+    if worst[0] == -math.inf:
+        worst = (0.0, None)
+    iii = CheckResult(worst[0] < p.eps, worst[0], p.eps, witness=worst[1], evaluations=evals)
+    return ii, iii
+
+
+@pytest.mark.parametrize("space_norm", [L1, SUP, SpaceNorm.lp(2.5)], ids=["l1", "sup", "lp2.5"])
+def test_row_norms_match_scalar_norms(space_norm):
+    # -inf entries are zero coefficients; a row of them, or no entries, has
+    # norm 0.0; an infinite log gives an infinite norm
+    rows = [[0.3, -math.inf, -3.0, 1e-17], [-math.inf] * 4, [math.inf, 1.0, -math.inf, 2.0],
+            [-700.0, -701.5, -745.0, -800.0]]
+    got = criteria._norm_from_logcoeffs(rows, space_norm)
+    assert got == [scalar_norm_from_logcoeffs(r, space_norm) for r in rows]
+    assert criteria._norm_from_logcoeffs(np.empty((2, 0)), space_norm) == [0.0, 0.0]
+
+
+class TestCaracTailsOracle:
+    """Whole carac reports against (ii) and (iii) from scalar window calls."""
+
+    # (powers n_k, N, lambda_k on axis 0 at k = 0 and its step); lambda_k on
+    # axis 1 is 0.6 + 0.11 k
+    SCHEDULES = {
+        # distinct lambda_k on each axis, uneven gaps, all in the smallest table
+        "small": ([45 * k + 7 * (k % 3) for k in range(1, 9)], 12, 1.1, 0.05),
+        # close powers and small lambda_k: the tail terms are of one size, so
+        # numpy's exp in place of math.exp moves the lp(2.5) exp_alpha report
+        "dense": ([1000 + 3 * k for k in range(12)], 12, 0.05, 0.01),
+        # numerator windows end on both sides of 2**12: the scalar reference
+        # reads tables of 2**12 and 2**13 entries, the array path one of 2**13
+        "2^12": ([1000, 2500, 4050, 4090, 4200], 20, 1.1, 0.05),
+        # windows end on both sides of 2**16, past it on the scalar fallback
+        "2^16": ([20000, 40000, 65530], 12, 1.1, 0.05),
+    }
+
+    @pytest.mark.parametrize("space_norm", [L1, SUP, SpaceNorm.lp(2.5)], ids=["l1", "sup", "lp2.5"])
+    @pytest.mark.parametrize("schedule", list(SCHEDULES))
+    @pytest.mark.parametrize("fams", [
+        (AFF0,), (WeightFamily.affine(0.4),), (WeightFamily.exp_alpha(0.5),),
+        (AFF0, WeightFamily.affine(0.4)), (WeightFamily.exp_alpha(0.5), AFF0),
+    ], ids=["aff0", "aff0.4", "exp0.5", "aff0-aff0.4", "exp0.5-aff0"])
+    def test_reports_match_scalar_tails(self, fams, schedule, space_norm):
+        ns, N, lam0, step = self.SCHEDULES[schedule]
+        lams = [(lam0 + step * k, 0.6 + 0.11 * k) for k in range(len(ns))]
+        sched = [(n, lam[:len(fams)]) for n, lam in zip(ns, lams)]
+        K = ((1.15, 1.3), (0.7, 0.9))[:len(fams)]
+        p = CaracParams(m=2, tau=1.0, N=N, eps=1.0, K=K, F=LipschitzProfile("power", 1.0, 0.5),
+                        c=0.5, C=2.0, space_norm=space_norm)
+        rep = check_carac_conditions(fams, sched, p)
+        ii, iii = carac_tails_scalar(fams, sched, p)
+        want = CriterionReport(conditions={**rep.conditions, "ii": ii, "iii": iii},
+                               meta=rep.meta)
+        assert (json.dumps(rep.to_json_dict(), sort_keys=True)
+                == json.dumps(want.to_json_dict(), sort_keys=True))
 
 
 class TestReportDeterminism:

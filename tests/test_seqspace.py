@@ -233,3 +233,21 @@ class TestSerialization:
     def test_bad_payload_rejected(self):
         with pytest.raises(ValueError):
             SeqVec.from_json_dict({"coefficients": []})
+
+    @pytest.mark.parametrize("entry,match", [
+        ([0.5, 1.0], "index must be an integer"),
+        ([True, 2.0], "index must be an integer"),
+        (["3", 2.0], "index must be an integer"),
+        ([float("inf"), 2.0], "index must be an integer"),
+        ([3, True], "coefficient must be a number"),
+        ([3, "2.0"], "coefficient must be a number"),
+    ])
+    def test_entries_are_not_coerced(self, entry, match):
+        with pytest.raises(ValueError, match=match):
+            SeqVec.from_json_dict({"entries": [[1, 1.0], entry]})
+
+    def test_integral_float_index_and_int_coefficient_accepted(self):
+        # the schema's [integer >= 0, number] accepts 1.0 as an integer
+        got = SeqVec.from_json_dict({"entries": [[1.0, 2], [4, 0.5]]})
+        assert got == vec((1, 2.0), (4, 0.5))
+        assert all(type(k) is int and type(c) is float for k, c in got.items())

@@ -25,6 +25,7 @@ from shiftlab.weights import (
     lipschitz_ratio_profile,
     log_cum_prefix,
     log_cum_window,
+    log_cum_window_offsets,
     log_cum_windows,
     log_weight,
 )
@@ -468,6 +469,61 @@ class TestPrefixAndVectorized:
         # windows far out in the sequence keep relative accuracy
         got = log_cum_window(PP, 1.2, 10**7, 13)
         assert got == pytest.approx(1.2 * math.log1p(13 / 10**7), rel=1e-12)
+
+
+OFFSET_FAMILIES = [
+    WeightFamily.affine(0.0),
+    WeightFamily.affine(0.4),
+    WeightFamily.affine(0.9),
+    WeightFamily.pure_power(),
+    WeightFamily.exp_alpha(0.5),
+    WeightFamily.power_ratio(),
+    WeightFamily.geometric(),
+]
+
+
+class TestWindowOffsets:
+    @pytest.mark.parametrize("fam", OFFSET_FAMILIES)
+    @pytest.mark.parametrize("n", [0, 1, 37, 4000, 2**12, 2**16 - 5])
+    def test_matches_scalar_bit_for_bit(self, fam, n):
+        # offset 0, ends at 2**12 - 1, 2**12 and 2**16 - 1 (the last table
+        # entry), ends past 2**16 (the scalar fallback) and random offsets
+        rng = random.Random(n)
+        ends = [2**12 - 1, 2**12, 2**16 - 1, 2**16, 2**16 + 3]
+        offs = ([0, 1] + [e - n for e in ends if e >= n]
+                + [rng.randrange(0, 2**16) for _ in range(12)])
+        lam = 1.37
+        got = log_cum_window_offsets(fam, lam, np.array(offs), n)
+        want = np.array([log_cum_window(fam, lam, l, n) for l in offs])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fam", OFFSET_FAMILIES)
+    def test_shape_and_table_size_independence(self, fam):
+        # a 2-d offset array keeps its shape; a short window read alone (a
+        # small table) has the bits it has beside a long one (a large table)
+        offs = np.array([[3, 2**15], [0, 2**16 - 9]])
+        got = log_cum_window_offsets(fam, 0.8, offs, 8)
+        assert got.shape == (2, 2)
+        alone = log_cum_window_offsets(fam, 0.8, np.array([3]), 8)
+        assert got[0, 0].tobytes() == alone[0].tobytes()
+
+    def test_offsets_beyond_int64_loop_the_scalar_path(self):
+        offs = np.array([2**70, 2**63], dtype=object)
+        got = log_cum_window_offsets(PP, 1.2, offs, 10**20)
+        want = [log_cum_window(PP, 1.2, l, 10**20) for l in offs.tolist()]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("fam", OFFSET_FAMILIES)
+    def test_validation(self, fam):
+        with pytest.raises(InadmissibleParameterError) as scalar:
+            log_cum_window(fam, 0.0, 0, 3)
+        with pytest.raises(InadmissibleParameterError) as array:
+            log_cum_window_offsets(fam, 0.0, np.arange(3), 3)
+        assert str(array.value) == str(scalar.value)
+        with pytest.raises(ValueError, match="nonnegative"):
+            log_cum_window_offsets(fam, 1.0, np.array([2, -1]), 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            log_cum_window_offsets(fam, 1.0, np.arange(3), -1)
 
 
 class TestAffinePurePowerCrossCheck:

@@ -379,6 +379,15 @@ class TestConfigJson:
         del obj["families"]
         assert WitnessConfig.from_json_dict(obj).fams == (PP, PP)
 
+    def test_empty_cov_override_is_not_the_log_covering(self):
+        # an empty object is a covering without cells, not "no override"
+        obj = override_config().to_json_dict()
+        obj["cov_override"] = {}
+        with pytest.raises(KeyError, match="cells"):
+            WitnessConfig.from_json_dict(obj)
+        del obj["cov_override"]
+        assert WitnessConfig.from_json_dict(obj).cov_override is None
+
     def test_eta_positive(self):
         p = LogCoveringParams(box=BOX, m=2, r=1, base=100)
         with pytest.raises(ValueError, match="eta"):
