@@ -83,6 +83,14 @@ def _parse_norm(obj) -> SpaceNorm:
     return L1 if obj is None else SpaceNorm.from_json(obj)
 
 
+def _given(obj: dict, **convert) -> dict:
+    """Keyword arguments for the keys present in ``obj``, each converted.
+
+    A key left out of the payload takes the library's own default.
+    """
+    return {k: f(obj[k]) for k, f in convert.items() if k in obj}
+
+
 # ---------------------------------------------------------------------------
 # orbit probe
 # ---------------------------------------------------------------------------
@@ -193,9 +201,9 @@ def _h_criterion_check(payload: dict):
         m_lo=int(payload["m_lo"]),
         m_hi=int(payload["m_hi"]),
         eps=float(payload["eps"]),
-        samples_per_axis=int(payload.get("samples_per_axis", 3)),
         space_norm=_parse_norm(payload.get("norm")),
         region=payload.get("region"),
+        **_given(payload, samples_per_axis=int),
     )
     return _report_out(report)
 
@@ -208,8 +216,8 @@ def _h_unif_check(payload: dict):
         N0=int(po["N0"]), F=LipschitzProfile.from_json_dict(po["F"]),
         n_max=int(po["n_max"]), k_max=int(po["k_max"]),
         I0_lo=float(po["I0"]["lo"]), I0_hi=float(po["I0"]["hi"]),
-        I0_points=int(po["I0"].get("points", 9)), d=int(po.get("d", 1)),
-        divergence_threshold=float(po.get("divergence_threshold", 1e6)),
+        I0_points=int(po["I0"].get("points", critmod.I0_POINTS)),
+        **_given(po, d=int, divergence_threshold=float),
     )
     fam = WeightFamily.from_json_dict(payload["family"])
     report = critmod.check_unif_hypotheses(fam, params,
@@ -225,7 +233,7 @@ def _h_corollary_check(payload: dict):
     import numpy as np
 
     i0 = payload["I0"]
-    grid = np.linspace(float(i0["lo"]), float(i0["hi"]), int(i0.get("points", 9)))
+    grid = np.linspace(float(i0["lo"]), float(i0["hi"]), int(i0.get("points", critmod.I0_POINTS)))
     report = critmod.check_corollary_hypotheses(
         fam=WeightFamily.from_json_dict(payload["family"]),
         I0_grid=grid.tolist(),
@@ -254,7 +262,7 @@ def _h_carac_check(payload: dict):
 def _h_witness_build(payload: dict):
     cfg = witmod.WitnessConfig.from_json_dict(payload["config"])
     w = witmod.build_witness(cfg)
-    return True, w.to_json_dict(include_coeffs=bool(payload.get("include_coeffs", True))), None
+    return True, w.to_json_dict(**_given(payload, include_coeffs=bool)), None
 
 
 def _h_witness_eval(payload: dict):
@@ -268,8 +276,7 @@ def _h_witness_eval(payload: dict):
         n = payload.get("N")
         if n is None:
             n = w.powers[witmod.locate_cell(w.covering, lam)]
-        ev = witmod.eval_bruteforce(w, cfg, lam, int(n),
-                                    budget=int(payload.get("budget", 2_000_000)))
+        ev = witmod.eval_bruteforce(w, cfg, lam, int(n), **_given(payload, budget=int))
     else:
         raise ConfigError(f"unknown evaluation path {path!r}")
     worst = max(math.fsum(ev.p1_err), math.fsum(ev.p2_norm), math.fsum(ev.p3_norm),
@@ -284,7 +291,7 @@ def _h_witness_eval(payload: dict):
 def _h_witness_sweep(payload: dict):
     cfg = witmod.WitnessConfig.from_json_dict(payload["config"])
     rows = witmod.sweep_sigma(cfg, [int(b) for b in payload["bases"]],
-                              grid_per_axis=int(payload.get("grid_per_axis", 3)))
+                              **_given(payload, grid_per_axis=int))
     return True, {"rows": rows}, (witmod.SWEEP_COLUMNS, rows)
 
 
@@ -297,7 +304,7 @@ def _h_orbit_probe(payload: dict):
         eps=float(payload["eps"]),
         n_max=int(payload["n_max"]),
         space_norm=_parse_norm(payload.get("norm")),
-        allow_zero=bool(payload.get("allow_zero", False)),
+        **_given(payload, allow_zero=bool),
     )
     header = ["target", "hit", "N", "error"]
     return all(r["hit"] for r in results), {"results": results}, (header, results)

@@ -26,6 +26,10 @@ from .weights import _positive
 
 Box = Tuple[Tuple[float, float], ...]
 
+# guard on q**2-entry arrays: the graded search's cell pairs, unif's (n, k)
+# grid and criterion's s^d * M per cell
+_MAX_PAIR_GRID = 50_000_000
+
 
 class CoveringInfeasibleError(ValueError):
     """Covering construction failed; ``reason`` is 'diam' or 'budget'."""
@@ -108,7 +112,7 @@ class GradedParams:
         return cls(
             alpha=float(obj["alpha"]), beta=float(obj["beta"]), D=float(obj["D"]),
             tau=float(obj["tau"]), eta=float(obj["eta"]), N=int(obj["N"]),
-            c=float(obj.get("c", 0.1)), d=int(obj.get("d", 2)),
+            c=float(obj.get("c", cls.c)), d=int(obj.get("d", cls.d)),
         )
 
 
@@ -439,21 +443,8 @@ def verify_graded(cov: Covering, K, p: GradedParams) -> CriterionReport:
         witness=None if covered else {"uncovered_point": list(missing_pt)},
         note="achieved value counts uncovered elementary cells")
 
-    # (c) pairwise proximity on box corners
-    if q > 1:
-        dist = _pairwise_sup_dist([c.box for c in cov.cells])
-        jj, ll = np.triu_indices(q, k=1)
-        bound = p.D * (ns[ll] - ns[jj]) ** p.alpha / ns[ll] ** p.alpha
-        gap_c = bound - dist[jj, ll]
-        w = int(np.argmin(gap_c))
-        props["c"] = CheckResult(
-            bool(gap_c[w] >= 0.0), float(dist[jj[w], ll[w]]), float(bound[w]),
-            witness={"pair": [int(jj[w]), int(ll[w])]})
-    else:
-        props["c"] = CheckResult(True, 0.0, math.inf, note="vacuous for a single cell")
-
-    ach_d = math.fsum(1.0 / c.n**p.beta for c in cov.cells)
-    props["d"] = CheckResult(ach_d <= p.eta, ach_d, p.eta)
+    props["c"] = _check_c([c.box for c in cov.cells], ns, p)
+    props["d"] = _check_d(cov.powers, p)
 
     if q > 1:
         diff = np.abs(ns[:, None] - ns[None, :])
@@ -468,14 +459,54 @@ def verify_graded(cov: Covering, K, p: GradedParams) -> CriterionReport:
     return CriterionReport(conditions=props, section="properties")
 
 
+def _check_c(boxes: Sequence[Box], ns: np.ndarray, p: GradedParams) -> CheckResult:
+    """(c): pairwise proximity on box corners, for the float64 powers ns."""
+    q = len(ns)
+    if q == 1:
+        return CheckResult(True, 0.0, math.inf, note="vacuous for a single cell")
+    dist = _pairwise_sup_dist(boxes)
+    jj, ll = np.triu_indices(q, k=1)
+    bound = p.D * (ns[ll] - ns[jj]) ** p.alpha / ns[ll] ** p.alpha
+    gap_c = bound - dist[jj, ll]
+    w = int(np.argmin(gap_c))
+    return CheckResult(bool(gap_c[w] >= 0.0), float(dist[jj[w], ll[w]]), float(bound[w]),
+                       witness={"pair": [int(jj[w]), int(ll[w])]})
+
+
+def _check_d(powers: Sequence[int], p: GradedParams) -> CheckResult:
+    """(d): power summability, over the integer powers."""
+    ach = math.fsum(1.0 / n**p.beta for n in powers)
+    return CheckResult(ach <= p.eta, ach, p.eta)
+
+
+def _screen(powers: List[int], boxes: List[Box], g: int, p: GradedParams) -> bool:
+    """Does a g-per-axis grid candidate pass (d), and (c) at its last row wrap?
+
+    Both use verify_graded's own expressions, so a rejected candidate fails
+    the verifier.  The cells q - g - 1 and q - g are the last consecutive
+    pair whose last-axis index wraps: their distance spans K's last side,
+    against the least (c) bound among such pairs.  (e) needs no screen:
+    delta keeps each of its row sums at most 2*s_beta*delta**-beta <= eta.
+    """
+    if not _check_d(powers, p).passed:
+        return False
+    q = len(powers)
+    if q == g:  # d = 1: no wrap
+        return True
+    wrap = slice(q - g - 1, q - g + 1)
+    return _check_c(boxes[wrap], np.asarray(powers[wrap], dtype=np.float64), p).passed
+
+
 def build_graded_covering(K, p: GradedParams, g_max: int = 40) -> Covering:
     """Deterministic search for a covering that passes ``verify_graded``.
 
     K is tiled by a g x ... x g grid with an arithmetic power schedule;
     grid size, spacing and offset escalate until the verifier passes or the
-    budget runs out.  Raises CoveringInfeasibleError with reason 'diam' when
-    the precondition diam(K) <= c*D fails and 'budget' when the search space
-    is exhausted.
+    budget runs out.  Grids stop where verify_graded's q**2 pair arrays
+    would exceed _MAX_PAIR_GRID, and schedules past 2**53 are skipped, since
+    the verifier reads the powers as float64.  Raises CoveringInfeasibleError
+    with reason 'diam' when the precondition diam(K) <= c*D fails and
+    'budget' when the search space is exhausted.
     """
     K = as_box(K)
     d = len(K)
@@ -505,7 +536,8 @@ def build_graded_covering(K, p: GradedParams, g_max: int = 40) -> Covering:
         if verify_graded(cov, K, p).overall:
             return cov
 
-    for g in range(2, g_max + 1):
+    g_top = min(g_max, _iroot(math.isqrt(_MAX_PAIR_GRID), d))
+    for g in range(2, g_top + 1):
         q = g**d
         s_beta = math.fsum(k ** (-p.beta) for k in range(1, q))
         cap = n_cap_for(g)
@@ -514,25 +546,21 @@ def build_graded_covering(K, p: GradedParams, g_max: int = 40) -> Covering:
         if p.N + span > cap:
             continue
         slack = cap - span - p.N
+        boxes = list(_grid_boxes(K, g))
         for frac in (0.5, 0.25, 0.75, 0.0, 1.0):
             n0 = p.N + int(frac * slack)
-            schedule = np.asarray([n0 + j * delta for j in range(q)], dtype=np.float64)
-            # cheap closed-form prescreen before building any cells:
-            # (d), (e) on the arithmetic schedule and the (c) bound against
-            # the worst-case pair distance (row wraps make it ~diam(K))
-            if math.fsum((schedule**-p.beta).tolist()) > p.eta:
+            if n0 + span > 2**53:
                 continue
-            diffs = np.abs(schedule[:, None] - schedule[None, :])
-            np.fill_diagonal(diffs, np.inf)
-            if float((diffs**-p.beta).sum(axis=1).max()) > p.eta:
-                continue
-            if d >= 2 and S > p.D * (delta / schedule[-1]) ** p.alpha:
+            powers = [n0 + j * delta for j in range(q)]
+            if not _screen(powers, boxes, g, p):
                 continue
             # anchors at the lower corners
-            cells = tuple(Cell(n=int(n), anchor=tuple(lo for lo, _ in box), box=box)
-                          for n, box in zip(schedule, _grid_boxes(K, g)))
+            cells = tuple(Cell(n=n, anchor=tuple(lo for lo, _ in box), box=box)
+                          for n, box in zip(powers, boxes))
             cov = Covering(cells=cells, params=p, kind="graded")
             if verify_graded(cov, K, p).overall:
                 return cov
+    limit = "" if g_top == g_max else (
+        f"; {g_top + 1} per axis gives more than {_MAX_PAIR_GRID} cell pairs")
     raise CoveringInfeasibleError(
-        "budget", f"no covering found with grid size up to {g_max} per axis")
+        "budget", f"no covering found with grid size up to {g_top} per axis{limit}")

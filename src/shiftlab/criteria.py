@@ -26,13 +26,21 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .covering import CheckResult, Covering, CriterionReport, box_union_covers, as_box
+from .covering import (
+    _MAX_PAIR_GRID,
+    CheckResult,
+    Covering,
+    CriterionReport,
+    as_box,
+    box_union_covers,
+)
 from .seqspace import _TINY, L1, MAX_INDEX, SeqVec, SpaceNorm, _norm, cw_root
 from .weights import (
     LipschitzProfile,
     WeightFamily,
     _max_slope,
     _positive,
+    _require_admissible,
     _require_admissible_array,
     chord_points,
     lipschitz_ratio_profile,
@@ -44,7 +52,7 @@ from .weights import (
     log_weight,
 )
 
-_MAX_PAIR_GRID = 50_000_000  # guard for unif's (n, k) grid and criterion's s^d * M per cell
+I0_POINTS = 9  # default size of an I0 grid
 # criterion-check takes as many cells per block as keep each block array at
 # most this many (cell, pair) entries or display values (one cell if it needs
 # more).  The benchmark's q = 256 job peaks at 1.3 MiB under tracemalloc with
@@ -206,6 +214,12 @@ def check_basic_criterion(
 
     lams = np.asarray([[[c.anchor[ax]] if s == 1 else spaced(lo, hi)
                         for ax, (lo, hi) in enumerate(c.box)] for c in cells], dtype=np.float64)
+    # every lambda before any display: the first bad one in (cell, axis,
+    # sample) order raises, with its axis's family in the message
+    bad = ~((lams > 0.0) & np.isfinite(lams))
+    if bad.any():
+        i, ax, k = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        _require_admissible(fams[ax], lams[i, ax, k])
 
     def tables(i0: int, nb: int):
         """II.b and III/IV display values of cells i0..i0+nb-1, shaped (nb, s, ..., s, M)."""
@@ -226,8 +240,7 @@ def check_basic_criterion(
             target = target[pair[own]]
             table = np.empty((2, nb, s, M))  # (II.b, III or IV) per cell, sample and power
             for k in range(s):
-                lam = _require_admissible_array(fam, lams[i0:i0 + nb, ax, k])
-                w = log_cum_windows(fam, lam[cell], offs, n_blk[cell])
+                w = log_cum_windows(fam, lams[i0:i0 + nb, ax, k][cell], offs, n_blk[cell])
                 try:
                     e = np.fromiter(map(math.exp, w.tolist()), np.float64, len(w))
                 except OverflowError:
@@ -250,14 +263,7 @@ def check_basic_criterion(
     worst = {name: CheckResult(True, 0.0, eps, evaluations=0) for name in ("II.b", "III", "IV")}
     for i0 in range(0, cov.q, per_block):
         nb = min(per_block, cov.q - i0)
-        try:
-            tail, head = tables(i0, nb)
-        except (ValueError, OverflowError):
-            # a block interleaves its cells' steps; one cell at a time, the
-            # first failing cell raises what it raises in a cell-by-cell pass
-            for i in range(i0, i0 + nb):
-                tables(i, 1)
-            raise
+        tail, head = tables(i0, nb)
         # the first maximum in C order is the first in (cell, sample point, m)
         # order; strict > across blocks keeps the earliest cell
         for name, vals, pows in (("II.b", tail, ms), ("IV", head[..., :1], ms[:1]),
@@ -302,7 +308,7 @@ class UnifParams:
     k_max: int
     I0_lo: float
     I0_hi: float
-    I0_points: int = 9
+    I0_points: int = I0_POINTS
     d: int = 1
     divergence_threshold: float = 1e6
 
@@ -571,16 +577,10 @@ def check_carac_conditions(
         covered, float(count), 0.0, evaluations=0,
         witness=None if covered else {"uncovered_point": list(missing)})
 
-    # (ii) per axis: || sum_k what_{n_k}(lambda_k(i))^{-1/m} e_{n_k} || < eps
-    worst_ii = (-math.inf, None)
+    # (ii) reads its windows from (iii)'s tables below; its lambda_k are
+    # checked here, axis by axis in k order, so a bad one raises before (iii)
     for ax in range(d):
-        logcs = [-log_cum_window(fams[ax], lam[ax], 0, n_k) / p.m for n_k, lam in sched]
-        val = _norm_from_logcoeffs([logcs], p.space_norm)[0]
-        if val > worst_ii[0]:
-            worst_ii = (val, {"axis": ax})
-    conds["ii"] = CheckResult(
-        worst_ii[0] < p.eps, worst_ii[0], p.eps, witness=worst_ii[1],
-        evaluations=d * q)
+        _require_admissible_array(fams[ax], [lam[ax] for _, lam in sched])
 
     # (iii) tail sums over j > k for every (k, axis, l).  Per (k, axis), one
     # array call gives window(lambda_k, n_j - n_k + l, n_k) for j >= k as an
@@ -605,6 +605,12 @@ def check_carac_conditions(
             for l in reversed(range(p.N + 1)):
                 if vals[l] >= worst_iii[0]:
                     worst_iii = (vals[l], {"k": k, "axis": ax, "l": l})
+    # (ii) per axis: || sum_k what_{n_k}(lambda_k(i))^{-1/m} e_{n_k} || < eps,
+    # where log what_{n_k}(lambda_k) = window(lambda_k, 0, n_k) is dens[ax, k, 0]
+    vals = _norm_from_logcoeffs(-dens[:, :, 0] / p.m, p.space_norm)
+    ax = int(np.argmax(vals))  # the first axis at the maximum
+    conds["ii"] = CheckResult(
+        vals[ax] < p.eps, vals[ax], p.eps, witness={"axis": ax}, evaluations=d * q)
     evals = q * d * (p.N + 1)
     if worst_iii[0] == -math.inf:
         worst_iii = (0.0, None)

@@ -25,6 +25,8 @@ from .covering import Covering, LogCoveringParams, build_log_covering
 from .seqspace import L1, ProductKind, SeqVec, norm, power, product
 from .weights import WeightFamily, _positive, apply_backward_power, log_cum_window
 
+_BUDGET = 2_000_000  # default nonzeros**m allowed in a sparse expansion
+
 SWEEP_COLUMNS = [
     "sigma", "q", "N_1", "N_q", "separation_ok", "p1_worst", "p2_worst",
     "p3_worst", "premature_max", "predicted_p2_slope",
@@ -318,26 +320,27 @@ def eval_analytic(w: Witness, cfg: WitnessConfig, lam: Sequence[float]) -> Witne
     branches = []
     for ax in range(d):
         fam = cfg.fams[ax]
-        err = math.fsum(
-            abs(vl) * abs(math.expm1(
-                log_cum_window(fam, lam[ax], l, n_i) - w.anchor_windows[(ax, l, i + 1)]))
-            for l, vl in sorted(cfg.v[ax].items()))
-        p1.append(err)
-
+        # P1 reads cell i's own window W(lam, l, n_i); P2 the later cells'
+        # W(lam, n_j - n_i + l, n_i); each against the anchor's window
+        err = []
         terms = []
         branch = 0
         worst_term = -math.inf
-        for j in range(i + 1, w.q):
+        for j in range(i, w.q):
             n_j = w.powers[j]
             anchor_j = w.covering.cells[j].anchor[ax]
             for l, vl in sorted(cfg.v[ax].items()):
-                t = abs(vl) * math.exp(
-                    log_cum_window(fam, lam[ax], n_j - n_i + l, n_i)
-                    - w.anchor_windows[(ax, l, j + 1)])
+                dw = (log_cum_window(fam, lam[ax], n_j - n_i + l, n_i)
+                      - w.anchor_windows[(ax, l, j + 1)])
+                if j == i:
+                    err.append(abs(vl) * abs(math.expm1(dw)))
+                    continue
+                t = abs(vl) * math.exp(dw)
                 terms.append(t)
                 if t > worst_term:
                     worst_term = t
                     branch = 1 if lam[ax] > anchor_j else (-1 if lam[ax] < anchor_j else 0)
+        p1.append(math.fsum(err))
         p2.append(math.fsum(terms))
         branches.append(branch)
 
@@ -368,7 +371,7 @@ def _conv_budget_check(w: Witness, m: int, budget: int):
 
 
 def _premature_bruteforce(w: Witness, cfg: WitnessConfig, lam, N: int,
-                          budget: int = 2_000_000) -> float:
+                          budget: int = _BUDGET) -> float:
     worst = 0.0
     pws = list(w.vectors)  # pws[ax] is power(w.vectors[ax], n, CONVOLUTION)
     for n in range(1, cfg.m):
@@ -384,7 +387,7 @@ def _premature_bruteforce(w: Witness, cfg: WitnessConfig, lam, N: int,
 
 
 def eval_bruteforce(w: Witness, cfg: WitnessConfig, lam: Sequence[float], N: int,
-                    budget: int = 2_000_000) -> WitnessEval:
+                    budget: int = _BUDGET) -> WitnessEval:
     """Oracle evaluation: expand (u')^n sparsely and apply the backward shift.
 
     Error components are read off the support of the result: indices up to

@@ -1,5 +1,7 @@
 """Tests for the batch CLI: exit codes, determinism, schemas, orbit probe."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -331,6 +333,23 @@ class TestExitCodeContract:
         assert not out.exists()
 
 
+    def test_csv_of_a_command_without_csv_form_exits_two(self, capsys):
+        payload = json.loads((EXAMPLES / "log_cover_build.json").read_text())
+        job = {"command": "cover-build", "payload": payload, "output": {"format": "csv"}}
+        assert run(job) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "shiftlab: config error: cover-build has no CSV form\n"
+
+    def test_cover_verify_without_graded_params_exits_two(self, capsys):
+        cov = build_log_covering(
+            LogCoveringParams(box=((1.2, 1.3), (1.2, 1.3)), m=2, r=1, base=4), q_override=4)
+        payload = {"covering": cov.to_json_dict(), "K": [[1.2, 1.3], [1.2, 1.3]]}
+        assert run({"command": "cover-verify", "payload": payload}) == 2
+        assert capsys.readouterr().err == ("shiftlab: config error: graded parameters missing"
+                                          " (neither payload nor covering has them)\n")
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         cfg = write(tmp_path, "sweep.json",
@@ -386,6 +405,43 @@ class TestWitnessCommands:
             for x, y in zip(a[key], b[key]):
                 assert x == pytest.approx(y, rel=1e-9)
 
+    def test_witness_build_coeffs_follow_the_formula(self, capsys):
+        # include_coeffs defaults to true; with v = e_0 on both axes and pure
+        # power weights, d_{0,j} = exp(-(m-1) log eps - W(anchor_j, 0, N_j)) / m
+        # with W(a, 0, n) = a log n and log eps = -1.2 log(m sigma) / m
+        cfg = witness_cfg_json()
+        assert run({"command": "witness-build", "payload": {"config": cfg}}) == 0
+        rep = json.loads(capsys.readouterr().out)
+        m, sigma = 2, 100**2
+        log_eps = -1.2 * math.log(m * sigma) / m
+        want = [[ax, 0, j, math.exp(-(m - 1) * log_eps - c["anchor"][ax] * math.log(c["n"])) / m]
+                for ax in range(2) for j, c in enumerate(cfg["cov_override"]["cells"], start=1)]
+        assert [row[:3] for row in rep["coeffs"]] == [row[:3] for row in want]
+        for got, exp in zip(rep["coeffs"], want):
+            assert got[3] == pytest.approx(exp[3], rel=1e-12)
+
+    def test_cell_power_below_the_separator_exits_two(self, capsys):
+        # m = 2 and base 100: N_j must reach (m - 1) * sigma = 10000
+        cfg = witness_cfg_json()
+        for j, cell in enumerate(cfg["cov_override"]["cells"], start=1):
+            cell["n"] = 100 * j
+        assert run({"command": "witness-build", "payload": {"config": cfg}}) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "shiftlab: config error: cell power N_1 = 100 smaller than (m-1)*sigma = 10000"]
+
+    def test_sweep_with_one_point_per_axis_evaluates_the_box_center(self, capsys):
+        cfg = witness_cfg_json()
+        cfg.pop("cov_override")
+        payload = {"config": cfg, "bases": [100], "grid_per_axis": 1}
+        assert run({"command": "witness-sweep", "payload": payload}) == 0
+        row, = json.loads(capsys.readouterr().out)["rows"]
+        wcfg = WitnessConfig.from_json_dict(cfg)
+        ev = eval_analytic(build_witness(wcfg, on_collision="merge"), wcfg, (1.25, 1.25))
+        assert row["p1_worst"] == math.fsum(ev.p1_err)
+        assert row["p2_worst"] == math.fsum(ev.p2_norm)
+        assert row["p3_worst"] == math.fsum(ev.p3_norm)
+        assert row["separation_ok"] is ev.separation_ok
+
     def test_sweep_csv_columns(self, tmp_path):
         payload = {"config": witness_cfg_json(), "bases": [100, 128],
                    "grid_per_axis": 2}
@@ -437,6 +493,47 @@ class TestCheckerCommands:
         lines = Path(out).read_text().splitlines()
         assert lines[0] == "condition,pass,achieved,bound,margin,evaluations"
         assert len(lines) == 5  # i, ii, iii.growth, iii.root
+
+    def test_unif_check_table_csv_rows_are_the_report_table(self, capsys):
+        payload = {
+            "family": {"variant": "exp_alpha", "alpha": 0.4},
+            "params": {"m_prime": 2, "alpha": 0.4, "C1": 2.0, "C2": 0.4,
+                       "beta": 0.9, "M0": 50.0, "N0": 50,
+                       "F": {"kind": "power", "D1": 2.0, "alpha": 0.4},
+                       "n_max": 53, "k_max": 55, "I0": {"lo": 1.0, "hi": 2.0}},
+            "table": True,
+        }
+        # the divergence probe fails at k_max = 55: exit 1, report written
+        assert run({"command": "unif-check", "payload": payload}) == 1
+        table = json.loads(capsys.readouterr().out)["meta"]["table"]
+        assert run({"command": "unif-check", "payload": payload,
+                    "output": {"format": "csv"}}) == 1
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(r["n"], r["k"]) for r in rows] == [
+            (str(n), str(k)) for n in range(50, 54) for k in range(50, 56)]
+        assert [{"n": int(r["n"]), "k": int(r["k"]),
+                 "log_margin_growth": float(r["log_margin_growth"]),
+                 "log_margin_root": float(r["log_margin_root"])} for r in rows] == table
+
+    @pytest.mark.parametrize("spec,p", [("sup", math.inf), ({"lp": 2.5}, 2.5)],
+                             ids=["sup", "lp2.5"])
+    def test_carac_norm_from_payload(self, spec, p, capsys):
+        # pure_power: what_n(lambda) = n**lambda, so (ii) is the norm of
+        # (n_k**(-lambda/m))_k with lambda = 1.5 and m = 3
+        ns = [100 * k for k in range(1, 11)]
+        payload = {
+            "families": [{"variant": "pure_power"}],
+            "schedule": [[n, [1.5]] for n in ns],
+            "params": {"m": 3, "tau": 1.0, "N": 5, "eps": 1.0, "K": [[1.5, 1.5]],
+                       "F": {"kind": "power", "D1": 1.0, "alpha": 0.5},
+                       "c": 0.5, "C": 2.0, "norm": spec},
+        }
+        run({"command": "carac-check", "payload": payload})
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["meta"]["norm"] == spec
+        coeffs = [n ** -0.5 for n in ns]
+        want = max(coeffs) if p == math.inf else math.fsum(c**p for c in coeffs) ** (1 / p)
+        assert rep["conditions"]["ii"]["achieved"] == pytest.approx(want, rel=1e-12)
 
     def test_corollary_check_failure_exit(self, tmp_path):
         payload = {"family": {"variant": "geometric"},

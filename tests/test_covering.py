@@ -2,9 +2,11 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
+from shiftlab import covering
 from shiftlab.covering import (
     Cell,
     Covering,
@@ -166,6 +168,79 @@ class TestGradedSingleCell:
         with pytest.raises(CoveringInfeasibleError) as exc:
             build_graded_covering(((1.0, 1.4), (1.0, 1.4)), p, g_max=8)
         assert exc.value.reason == "budget"
+
+
+class TestGradedSearchScreens:
+    # parameters on which a (c) screen against diam(K) and the last power
+    # rejected every candidate, yet g = 8 gives a covering the verifier passes
+    C_CASE = dict(alpha=0.4223357779753852, beta=2.821241501316106, D=11.30182194462629,
+                  tau=4.147049991199737, eta=1.7214165621808513, N=11, c=0.9860704462189254,
+                  d=2)
+    C_K = ((1.8581040375163715, 3.9042565630540196),) * 2
+    # a d = 3 search whose pairwise (e) screen once allocated a q x q matrix
+    # per candidate; no grid passes the screens
+    D3_CASE = dict(alpha=0.04066875673171047, beta=1.254353715116986, D=4.528077126400416,
+                   tau=2.8302724471542264, eta=0.09314123964677223, N=9, c=0.7937843409536883,
+                   d=3)
+    D3_K = ((1.1507412581827623, 4.122297985099194),) * 3
+
+    def test_wrap_pair_screen_keeps_a_covering_the_verifier_passes(self):
+        p = GradedParams(**self.C_CASE)
+        cov = build_graded_covering(self.C_K, p)
+        assert (cov.q, cov.powers[0], cov.powers[-1]) == (64, 11, 704)
+        assert verify_graded(cov, self.C_K, p).overall
+
+    def test_every_screen_rejection_is_a_verifier_rejection(self):
+        rng = random.Random(2024)
+        rejected = {"c": 0, "d": 0}
+        for _ in range(400):
+            d = rng.randint(1, 3)
+            g = rng.randint(2, {1: 12, 2: 6, 3: 4}[d])
+            alpha = rng.uniform(0.02, 0.95 / d)
+            side = rng.uniform(0.01, 2.0)
+            K = ((1.0, 1.0 + side),) * d
+            p = GradedParams(alpha=alpha, beta=rng.uniform(alpha * d + 0.01, 3.0),
+                             D=side * rng.uniform(0.5, 4.0), tau=side * 100.0,
+                             eta=rng.uniform(0.01, 2.0), N=1, c=1.0, d=d)
+            n0, delta = rng.randint(1, 50), rng.randint(1, 10**rng.randint(1, 4))
+            powers = [n0 + j * delta for j in range(g**d)]
+            boxes = list(covering._grid_boxes(K, g))
+            if covering._screen(powers, boxes, g, p):
+                continue
+            cov = Covering(tuple(Cell(n, tuple(lo for lo, _ in b), b)
+                                 for n, b in zip(powers, boxes)))
+            rep = verify_graded(cov, K, p)
+            name = "d" if math.fsum(1.0 / n**p.beta for n in powers) > p.eta else "c"
+            assert not rep.conditions[name].passed
+            rejected[name] += 1
+        assert rejected["c"] > 20 and rejected["d"] > 20
+
+    def test_schedules_past_2_53_are_skipped(self):
+        # the only arithmetic schedule the search finds runs from 1.7e22 to
+        # 3.4e22, past the float64 powers the verifier reads
+        p = GradedParams(alpha=0.028359302877698236, beta=0.10733547317877498,
+                         D=17.761260562317197, tau=1.1247145062026216,
+                         eta=0.21814885439877787, N=13, c=0.07801595462099026, d=2)
+        with pytest.raises(CoveringInfeasibleError) as exc:
+            build_graded_covering(((1.3081920973944416, 2.5849327393357715),) * 2, p)
+        assert exc.value.reason == "budget"
+
+    def test_d3_search_allocates_no_pair_matrix(self):
+        p = GradedParams(**self.D3_CASE)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CoveringInfeasibleError):
+                build_graded_covering(self.D3_K, p, g_max=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_search_stops_at_the_pair_guard(self):
+        # 19**3 cells have at most 5e7 ordered pairs and 20**3 more
+        assert (19**3) ** 2 <= covering._MAX_PAIR_GRID < (20**3) ** 2
+        with pytest.raises(CoveringInfeasibleError, match="up to 19 per axis; 20 per axis"):
+            build_graded_covering(self.D3_K, GradedParams(**self.D3_CASE))
 
 
 class TestVerifier:

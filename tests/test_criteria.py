@@ -324,6 +324,30 @@ class TestBasicCriterionOracle:
         assert capsys.readouterr().err.splitlines() == [
             "shiftlab: config error: non-finite coefficient in a criterion display"]
 
+    def test_every_lambda_is_checked_before_any_display(self, capsys):
+        # cell 0's display window 2000*log(1.5) overflows exp; cell 1 samples
+        # lambda = -0.1.  The inadmissible lambda is reported, wherever its cell.
+        cells = [{"n": 2000, "anchor": [1.5], "box": [[1.5, 1.6]]},
+                 {"n": 2100, "anchor": [1.0], "box": [[-0.1, 1.0]]}]
+        job = {"command": "criterion-check", "payload": {
+            "families": [{"variant": "geometric"}], "covering": {"cells": cells},
+            "v": [{"entries": [[0, 1.0]]}], "m_lo": 1, "m_hi": 1, "eps": 1.0,
+            "samples_per_axis": 2}}
+        assert run(job) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "shiftlab: config error: parameter -0.1 not admissible for geometric (need lam > 0)"]
+        cells[1]["box"] = [[0.9, 1.0]]
+        assert run(job) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "shiftlab: config error: non-finite coefficient in a criterion display"]
+
+    def test_first_bad_lambda_in_cell_axis_sample_order(self):
+        # cell 0 samples -0.2 on axis 1, cell 1 samples -0.3 on axis 0
+        cells = (Cell(10, (1.0, 1.0), ((1.0, 1.1), (-0.2, 1.0))),
+                 Cell(20, (1.0, 1.0), ((-0.3, 1.0), (1.0, 1.1))))
+        with pytest.raises(ValueError, match=r"^parameter -0\.2 not admissible for geometric"):
+            check_basic_criterion((PP, GEO), Covering(cells), (basis(0), basis(0)), 1, 1, 1.0, 2)
+
 
 def unif_exp_alpha_params(**over):
     base = dict(m_prime=2, alpha=0.4, C1=2.0, C2=0.4, beta=0.9, M0=50.0, N0=50,
@@ -834,9 +858,9 @@ class TestCaracAffineTails:
         rep = check_carac_conditions((AFF0, AFF0), sched, p)
         d, q = 2, self.Q
         # one table per point k and axis, its first column the denominators;
-        # (iii) makes no scalar window call
+        # (ii) reads those tables and (iii) makes no scalar window call
         assert len(calls) == d * q
-        assert len(scalar) == rep.conditions["ii"].evaluations + 2 * rep.conditions["H"].evaluations
+        assert len(scalar) == 2 * rep.conditions["H"].evaluations
 
     def test_iii_window_calls_are_hoisted(self, monkeypatch):
         sched, p = self.instance()
