@@ -271,12 +271,12 @@ def _h_witness_eval(payload: dict):
     lam = [float(a) for a in payload["lambda"]]
     path = payload.get("path", "analytic")
     if path == "analytic":
-        ev = witmod.eval_analytic(w, cfg, lam)
+        ev = witmod.eval_analytic(w, lam)
     elif path == "bruteforce":
         n = payload.get("N")
         if n is None:
             n = w.powers[witmod.locate_cell(w.covering, lam)]
-        ev = witmod.eval_bruteforce(w, cfg, lam, int(n), **_given(payload, budget=int))
+        ev = witmod.eval_bruteforce(w, lam, int(n), **_given(payload, budget=int))
     else:
         raise ConfigError(f"unknown evaluation path {path!r}")
     worst = max(math.fsum(ev.p1_err), math.fsum(ev.p2_norm), math.fsum(ev.p3_norm),

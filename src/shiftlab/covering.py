@@ -286,10 +286,14 @@ def _iroot(x: int, d: int) -> int:
 
 
 def _grid_boxes(K: Box, g: int) -> Iterator[Box]:
-    """Boxes of the g x ... x g grid over K in row-major order (last axis fastest)."""
-    sides = [(hi - lo) / g for lo, hi in K]
+    """Boxes of the g x ... x g grid over K in row-major order (last axis fastest).
+
+    Edge i of an axis [lo, hi] is lo + i * (hi - lo) / g, except the last,
+    which is hi itself: lo + g * (hi - lo) / g can round one ulp below hi.
+    """
+    edges = [[lo + i * ((hi - lo) / g) for i in range(g)] + [hi] for lo, hi in K]
     for idx in itertools.product(range(g), repeat=len(K)):
-        yield tuple((lo + i * s, lo + (i + 1) * s) for (lo, _), i, s in zip(K, idx, sides))
+        yield tuple((e[i], e[i + 1]) for e, i in zip(edges, idx))
 
 
 def log_covering_cell_count(sigma: int, d: int = 2) -> int:

@@ -7,7 +7,8 @@
 whose m-th convolution power, shifted back N_i times, approximates the target
 v for every parameter in cell i of a log-grid covering.  Two independent
 evaluation paths are provided: ``eval_analytic`` computes the three error
-components from closed-form log-window ratios in O(q * p) per point, and
+components from closed-form log-window ratios in O(q * p) per point, reading
+the windows at the parameter with one array call per axis, and
 ``eval_bruteforce`` expands the convolution power sparsely and applies the
 backward shift.  Whenever the finite-size support-separation flag holds, the
 two paths agree to rounding error; ``sweep_sigma`` tabulates the error decay
@@ -21,9 +22,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .covering import Covering, LogCoveringParams, build_log_covering
-from .seqspace import L1, ProductKind, SeqVec, norm, power, product
-from .weights import WeightFamily, _positive, apply_backward_power, log_cum_window
+from .seqspace import L1, MAX_INDEX, ProductKind, SeqVec, norm, power, product
+from .weights import (WeightFamily, _positive, apply_backward_power, log_cum_window,
+                      log_cum_window_offsets)
 
 _BUDGET = 2_000_000  # default nonzeros**m allowed in a sparse expansion
 
@@ -122,11 +126,14 @@ class WitnessConfig:
 
 @dataclass
 class Witness:
+    cfg: WitnessConfig
     vectors: Tuple[SeqVec, ...]
     eps: Tuple[float, ...]
     log_eps: Tuple[float, ...]
-    coeffs: Dict[Tuple[int, int, int], float]  # (axis, l, j) -> d coefficient, j 1-based
-    anchor_windows: Dict[Tuple[int, int, int], float]  # same keys -> W(anchor_j, l, N_j)
+    # per axis a (q, |supp v_ax|) array: row j - 1 for cell j, one column per
+    # support index l of v_ax in increasing order
+    coeffs: Tuple[np.ndarray, ...]  # the d coefficients d_{l,j}
+    anchor_windows: Tuple[np.ndarray, ...]  # W(anchor_j, l, N_j)
     powers: List[int]
     q: int
     cprime: float
@@ -143,7 +150,10 @@ class Witness:
             "collision_indices": list(self.collision_indices),
         }
         if include_coeffs:
-            out["coeffs"] = [[ax, l, j, c] for (ax, l, j), c in sorted(self.coeffs.items())]
+            out["coeffs"] = [[ax, l, j, c]
+                             for ax, (v, cs) in enumerate(zip(self.cfg.v, self.coeffs))
+                             for l, col in zip(v.support(), cs.T.tolist())
+                             for j, c in enumerate(col, start=1)]
         return out
 
 
@@ -195,46 +205,43 @@ def build_witness(cfg: WitnessConfig, on_collision: str = "error") -> Witness:
         log_eps.append(-log_cum_window(cfg.fams[ax], a_lo, 0, m * sigma) / m)
     eps = tuple(math.exp(x) for x in log_eps)
 
-    coeffs: Dict[Tuple[int, int, int], float] = {}
-    anchor_windows: Dict[Tuple[int, int, int], float] = {}
+    coeffs = []
+    anchor_windows = []
     vecs = []
     collision: set = set()
-    for ax in range(d):
-        entries: Dict[int, float] = {}
-        seen: set = set()
-
-        def put(idx: int, c: float):
-            if idx in seen:
-                collision.add(idx)
-            seen.add(idx)
-            entries[idx] = entries.get(idx, 0.0) + c
-
-        for k, c in cfg.u[ax].items():
-            put(k, c)
-        for j in range(1, q + 1):
-            n_j = powers[j - 1]
-            base_idx = n_j - (m - 1) * sigma
-            if base_idx < 0:
+    for ax, fam in enumerate(cfg.fams):
+        v = cfg.v[ax].items_sorted()
+        # log|d_{l,j}| = log|v_l| - log m - (m-1) log eps - W(anchor_j, l, N_j)
+        shift = [math.log(abs(vl)) - math.log(m) - (m - 1) * log_eps[ax] for _, vl in v]
+        windows = []
+        for j, (cell, n_j) in enumerate(zip(cov.cells, powers), start=1):
+            if n_j < (m - 1) * sigma:
                 raise ValueError(
                     f"cell power N_{j} = {n_j} smaller than (m-1)*sigma = {(m-1)*sigma}")
-            anchor = cov.cells[j - 1].anchor[ax]
-            for l, vl in sorted(cfg.v[ax].items()):
-                key = (ax, l, j)  # one tuple shared by both tables
-                w = anchor_windows[key] = log_cum_window(cfg.fams[ax], anchor, l, n_j)
-                logmag = math.log(abs(vl)) - math.log(m) - (m - 1) * log_eps[ax] - w
-                c = math.copysign(math.exp(logmag), vl)
-                coeffs[key] = c
-                put(base_idx + l, c)
-        put(sigma, eps[ax])
+            windows.append([log_cum_window(fam, cell.anchor[ax], l, n_j) for l, _ in v])
+        cs = [math.copysign(math.exp(sh - wl), vl)
+              for row in windows for sh, wl, (_, vl) in zip(shift, row, v)]
+        anchor_windows.append(np.reshape(windows, (q, len(v))))
+        coeffs.append(np.reshape(cs, (q, len(v))))
+
+        # u, then the d-part in (j, l) order, then the separator; a repeated
+        # index is a collision and its coefficients add up in that order
+        d_idx = [n_j - (m - 1) * sigma + l for n_j in powers for l, _ in v]
+        entries: Dict[int, float] = {}
+        for k, c in itertools.chain(cfg.u[ax].items(), zip(d_idx, cs), [(sigma, eps[ax])]):
+            if k in entries:
+                collision.add(k)
+            entries[k] = entries.get(k, 0.0) + c
         vecs.append(SeqVec(entries))
 
     if collision and on_collision == "error":
         raise SupportCollisionError(collision)
 
     cprime = min(lo / hi for lo, hi in cfg.log_cov.box) - 1.0 / m
-    return Witness(vectors=tuple(vecs), eps=eps, log_eps=tuple(log_eps), coeffs=coeffs,
-                   anchor_windows=anchor_windows, powers=list(powers), q=q, cprime=cprime,
-                   covering=cov, collision_indices=tuple(sorted(collision)))
+    return Witness(cfg=cfg, vectors=tuple(vecs), eps=eps, log_eps=tuple(log_eps),
+                   coeffs=tuple(coeffs), anchor_windows=tuple(anchor_windows),
+                   powers=list(powers), q=q, cprime=cprime, covering=cov,
+                   collision_indices=tuple(sorted(collision)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +257,7 @@ def locate_cell(cov: Covering, lam: Sequence[float]) -> int:
     raise ValueError(f"lambda = {tuple(lam)} lies outside the covering")
 
 
-def _d_index_top(w: Witness, cfg: WitnessConfig) -> Optional[int]:
-    m, sigma = cfg.m, cfg.sigma
-    tops = []
-    for ax in range(cfg.d):
-        top = cfg.v[ax].support_max()
-        if top is not None:
-            tops.append(w.powers[-1] - (m - 1) * sigma + top)
-    return max(tops) if tops else None
-
-
-def _p0_support_bound(w: Witness, cfg: WitnessConfig) -> int:
+def _p0_support_bound(w: Witness) -> int:
     """Upper bound for the support of every cross term of (u')^m.
 
     Cross terms multiply m factors drawn from {target part (<= p), d-part
@@ -268,10 +265,13 @@ def _p0_support_bound(w: Witness, cfg: WitnessConfig) -> int:
     with m-1 separators, and m separators) are the main and tail terms and
     are excluded.
     """
+    cfg = w.cfg
     m, sigma = cfg.m, cfg.sigma
     u_top = max((x.support_max() or 0) for x in cfg.u) if any(
         not x.is_empty() for x in cfg.u) else None
-    d_top = _d_index_top(w, cfg)
+    v_top = max((x.support_max() or 0) for x in cfg.v) if any(
+        not x.is_empty() for x in cfg.v) else None
+    d_top = None if v_top is None else w.powers[-1] - (m - 1) * sigma + v_top
     best = -1
     for a_u in range(m + 1):
         for a_d in range(m + 1 - a_u):
@@ -287,106 +287,99 @@ def _p0_support_bound(w: Witness, cfg: WitnessConfig) -> int:
     return best
 
 
-def _separation(w: Witness, cfg: WitnessConfig, n_i: int) -> bool:
+def _separation(w: Witness, n_i: int) -> bool:
     if w.collision_indices:
         return False
-    m, sigma = cfg.m, cfg.sigma
-    p = cfg.p_support
+    m, sigma = w.cfg.m, w.cfg.sigma
+    p = w.cfg.p_support
     if not ((m - 1) * sigma + p < n_i):
         return False
-    if not (n_i > _p0_support_bound(w, cfg)):
+    if not (n_i > _p0_support_bound(w)):
         return False
     return m * sigma - n_i >= 0
 
 
-def eval_analytic(w: Witness, cfg: WitnessConfig, lam: Sequence[float]) -> WitnessEval:
+def eval_analytic(w: Witness, lam: Sequence[float]) -> WitnessEval:
     """Closed-form evaluation of the three error components at one parameter.
 
     Selects the cell containing lam (ties resolve to the lowest index) and
     computes, per axis, the approach error ||P1 - v||_1, the later-cell tail
     ||P2||_1 and the separator tail ||P3||_1 from log-window ratios.  The
     premature powers are reported as exactly zero when support arithmetic
-    certifies they vanish, and by sparse expansion otherwise.  The anchor
-    windows are read from ``w``, so ``cfg`` must be the config it was built from.
+    certifies they vanish, and by sparse expansion otherwise.
     """
     lam = tuple(float(x) for x in lam)
     i = locate_cell(w.covering, lam)
     n_i = w.powers[i]
-    m, sigma, d = cfg.m, cfg.sigma, cfg.d
-
-    p1 = []
-    p2 = []
-    p3 = []
-    branches = []
-    for ax in range(d):
-        fam = cfg.fams[ax]
-        # P1 reads cell i's own window W(lam, l, n_i); P2 the later cells'
-        # W(lam, n_j - n_i + l, n_i); each against the anchor's window
-        err = []
-        terms = []
-        branch = 0
-        worst_term = -math.inf
-        for j in range(i, w.q):
-            n_j = w.powers[j]
-            anchor_j = w.covering.cells[j].anchor[ax]
-            for l, vl in sorted(cfg.v[ax].items()):
-                dw = (log_cum_window(fam, lam[ax], n_j - n_i + l, n_i)
-                      - w.anchor_windows[(ax, l, j + 1)])
-                if j == i:
-                    err.append(abs(vl) * abs(math.expm1(dw)))
-                    continue
-                t = abs(vl) * math.exp(dw)
-                terms.append(t)
-                if t > worst_term:
-                    worst_term = t
-                    branch = 1 if lam[ax] > anchor_j else (-1 if lam[ax] < anchor_j else 0)
-        p1.append(math.fsum(err))
-        p2.append(math.fsum(terms))
-        branches.append(branch)
-
-        if m * sigma - n_i >= 0:
-            p3.append(math.exp(
-                m * w.log_eps[ax] + log_cum_window(fam, lam[ax], m * sigma - n_i, n_i)))
-        else:
-            p3.append(0.0)
-
-    sep = _separation(w, cfg, n_i)
+    p1, p2, p3, branches = zip(*(_axis_errors(w, ax, lam[ax], i) for ax in range(w.cfg.d)))
+    sep = _separation(w, n_i)
     top = max((x.support_max() or 0) for x in w.vectors)
-    if (m - 1) * top < n_i:
+    if (w.cfg.m - 1) * top < n_i:
         premature = 0.0
     else:
-        premature = _premature_bruteforce(w, cfg, lam, n_i)
+        premature = _premature_bruteforce(w, lam, n_i)
 
-    return WitnessEval(p1_err=tuple(p1), p2_norm=tuple(p2), p3_norm=tuple(p3),
-                       premature_max=premature, separation_ok=sep, cell_index=i,
-                       dominant_branch=tuple(branches))
+    return WitnessEval(p1_err=p1, p2_norm=p2, p3_norm=p3, premature_max=premature,
+                       separation_ok=sep, cell_index=i, dominant_branch=branches)
 
 
-def _conv_budget_check(w: Witness, m: int, budget: int):
+def _axis_errors(w: Witness, ax: int, x: float, i: int) -> Tuple[float, float, float, int]:
+    """(||P1 - v||_1, ||P2||_1, ||P3||_1, dominant branch) on one axis at lam = x in cell i.
+
+    One array call reads W(x, N_j - N_i + l, N_i) for the cells j >= i (rows)
+    and the support indices l of v (columns); against the anchor windows,
+    row j = i gives P1 and the later rows P2.  The branch is the side of its
+    anchor that x lies on for the first largest P2 term.
+    """
+    cfg, n_i = w.cfg, w.powers[i]
+    fam, v = cfg.fams[ax], cfg.v[ax].items_sorted()
+    p1 = p2 = 0.0
+    branch = 0
+    if v:
+        ls = [l for l, _ in v]
+        dt = np.int64 if w.powers[-1] + ls[-1] <= MAX_INDEX else object
+        offs = (np.array(w.powers[i:], dtype=dt) - n_i)[:, None] + np.array(ls, dtype=dt)
+        dw = (log_cum_window_offsets(fam, x, offs, n_i) - w.anchor_windows[ax][i:]).tolist()
+        terms = [abs(vl) * math.exp(e) for row in dw[1:] for e, (_, vl) in zip(row, v)]
+        p1 = math.fsum(abs(vl) * abs(math.expm1(e)) for e, (_, vl) in zip(dw[0], v))
+        p2 = math.fsum(terms)
+        if terms:
+            anchor = w.covering.cells[i + 1 + terms.index(max(terms)) // len(v)].anchor[ax]
+            branch = 1 if x > anchor else (-1 if x < anchor else 0)
+    k = cfg.m * cfg.sigma - n_i  # the separator's index after the shift
+    p3 = math.exp(cfg.m * w.log_eps[ax] + log_cum_window(fam, x, k, n_i)) if k >= 0 else 0.0
+    return p1, p2, p3, branch
+
+
+def _conv_budget_check(w: Witness, n: int, budget: int, advice: str):
     for ax, vec in enumerate(w.vectors):
-        if vec.nnz**m > budget:
+        if vec.nnz**n > budget:
             raise BruteForceBudgetError(
-                f"axis {ax}: {vec.nnz} nonzeros to the power {m} exceeds the "
-                f"budget {budget}; use the analytic path")
+                f"axis {ax}: {vec.nnz} nonzeros to the power {n} exceeds the "
+                f"budget {budget}; {advice}")
 
 
-def _premature_bruteforce(w: Witness, cfg: WitnessConfig, lam, N: int,
-                          budget: int = _BUDGET) -> float:
+def _premature_bruteforce(w: Witness, lam, N: int, budget: int = _BUDGET) -> float:
+    # eval_bruteforce has checked power m against the same budget, so only
+    # eval_analytic's fallback can fail here
+    m = w.cfg.m
     worst = 0.0
     pws = list(w.vectors)  # pws[ax] is power(w.vectors[ax], n, CONVOLUTION)
-    for n in range(1, cfg.m):
-        _conv_budget_check(w, n, budget)
+    for n in range(1, m):
+        _conv_budget_check(w, n, budget, (
+            f"support arithmetic could not show that power {n} < m = {m} vanishes "
+            f"after N = {N} shifts; use a larger base"))
         total = 0.0
-        for ax in range(cfg.d):
+        for ax, fam in enumerate(w.cfg.fams):
             if n > 1:
                 pws[ax] = product(pws[ax], w.vectors[ax], ProductKind.CONVOLUTION)
-            shifted = apply_backward_power(cfg.fams[ax], lam[ax], N, pws[ax])
+            shifted = apply_backward_power(fam, lam[ax], N, pws[ax])
             total += norm(shifted, L1)
         worst = max(worst, total)
     return worst
 
 
-def eval_bruteforce(w: Witness, cfg: WitnessConfig, lam: Sequence[float], N: int,
+def eval_bruteforce(w: Witness, lam: Sequence[float], N: int,
                     budget: int = _BUDGET) -> WitnessEval:
     """Oracle evaluation: expand (u')^n sparsely and apply the backward shift.
 
@@ -396,9 +389,10 @@ def eval_bruteforce(w: Witness, cfg: WitnessConfig, lam: Sequence[float], N: int
     (nonzeros**m against the budget) is checked before any expansion.
     """
     lam = tuple(float(x) for x in lam)
+    cfg = w.cfg
     m, sigma, d = cfg.m, cfg.sigma, cfg.d
     p = cfg.p_support
-    _conv_budget_check(w, m, budget)
+    _conv_budget_check(w, m, budget, "use the analytic path")
     i = locate_cell(w.covering, lam)
 
     p1 = []
@@ -422,8 +416,8 @@ def eval_bruteforce(w: Witness, cfg: WitnessConfig, lam: Sequence[float], N: int
         p2.append(math.fsum(tail_sum))
         p3.append(p3_val)
 
-    premature = _premature_bruteforce(w, cfg, lam, N, budget)
-    sep = _separation(w, cfg, N)
+    premature = _premature_bruteforce(w, lam, N, budget)
+    sep = _separation(w, N)
     return WitnessEval(p1_err=tuple(p1), p2_norm=tuple(p2), p3_norm=tuple(p3),
                        premature_max=premature, separation_ok=sep, cell_index=i)
 
@@ -434,11 +428,12 @@ def eval_bruteforce(w: Witness, cfg: WitnessConfig, lam: Sequence[float], N: int
 
 
 def _lambda_grid(box, per_axis: int) -> List[Tuple[float, ...]]:
+    """per_axis points per axis from lo to hi itself (lo + k * step can pass hi)."""
     if per_axis == 1:
         return [tuple((lo + hi) / 2.0 for lo, hi in box)]
-    steps = [(hi - lo) / (per_axis - 1) for lo, hi in box]
     return list(itertools.product(
-        *([lo + k * step for k in range(per_axis)] for (lo, _), step in zip(box, steps))))
+        *([lo + k * ((hi - lo) / (per_axis - 1)) for k in range(per_axis - 1)] + [hi]
+          for lo, hi in box)))
 
 
 def sweep_sigma(cfg_template: WitnessConfig, bases: Sequence[int],
@@ -465,7 +460,7 @@ def _sweep_row(cfg_template: WitnessConfig, base: int, grid_per_axis: int) -> di
     # small-sigma rows may collide on the separator index; the analytic
     # components stay formula-true and such rows report separation_ok=False
     w = build_witness(cfg, on_collision="merge")
-    evals = [eval_analytic(w, cfg, lam)
+    evals = [eval_analytic(w, lam)
              for lam in _lambda_grid(cfg.log_cov.box, grid_per_axis)]
     return {
         "sigma": cfg.sigma,

@@ -140,8 +140,8 @@ def test_criterion_3_oracle_equivalence():
         rng = random.Random(314159)
         for _ in range(20):
             lam = (rng.uniform(1.2, 1.3), rng.uniform(1.2, 1.3))
-            ea = eval_analytic(w, cfg, lam)
-            eb = eval_bruteforce(w, cfg, lam, w.powers[ea.cell_index])
+            ea = eval_analytic(w, lam)
+            eb = eval_bruteforce(w, lam, w.powers[ea.cell_index])
             assert ea.separation_ok and eb.separation_ok
             for a, b in zip(ea.p1_err + ea.p2_norm + ea.p3_norm,
                             eb.p1_err + eb.p2_norm + eb.p3_norm):
@@ -183,14 +183,14 @@ def test_criterion_5_anchor_exactness_and_lipschitz_control():
         p = cfg.p_support
 
         for i in range(w.q):
-            ev = eval_analytic(w, cfg, w.covering.cells[i].anchor)
+            ev = eval_analytic(w, w.covering.cells[i].anchor)
             assert all(e <= 1e-12 for e in ev.p1_err)
 
         rng = random.Random(99)
         grid = [1.2 + 0.025 * k for k in range(5)]
         samples = [(rng.uniform(1.2, 1.3), rng.uniform(1.2, 1.3)) for _ in range(25)]
         for lam in samples:
-            ev = eval_analytic(w, cfg, lam)
+            ev = eval_analytic(w, lam)
             i = ev.cell_index
             n_i = w.powers[i]
             for ax in range(2):

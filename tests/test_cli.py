@@ -32,6 +32,7 @@ EXAMPLE_COMMANDS = {
     "log_cover_build": "cover-build",
     "orbit_probe": "orbit-probe",
     "unif_check": "unif-check",
+    "witness_build": "witness-build",
     "witness_eval": "witness-eval",
     "witness_sweep": "witness-sweep",
 }
@@ -436,11 +437,36 @@ class TestWitnessCommands:
         assert run({"command": "witness-sweep", "payload": payload}) == 0
         row, = json.loads(capsys.readouterr().out)["rows"]
         wcfg = WitnessConfig.from_json_dict(cfg)
-        ev = eval_analytic(build_witness(wcfg, on_collision="merge"), wcfg, (1.25, 1.25))
+        ev = eval_analytic(build_witness(wcfg, on_collision="merge"), (1.25, 1.25))
         assert row["p1_worst"] == math.fsum(ev.p1_err)
         assert row["p2_worst"] == math.fsum(ev.p2_norm)
         assert row["p3_worst"] == math.fsum(ev.p3_norm)
         assert row["separation_ok"] is ev.separation_ok
+
+    def test_sweep_reaches_the_upper_box_corner(self, capsys):
+        # g = 25 cells per axis over [1.011, 1.833]: the last cell edge and the
+        # last grid point must both be 1.833 itself, or (1.011, 1.833) misses
+        payload = {"config": {
+            "log_cov": {"box": [[1.011, 1.833]] * 2, "m": 2, "r": 1, "base": 72},
+            "u": [{"entries": []}] * 2, "v": [{"entries": [[0, 1.0]]}] * 2, "eta": 0.05},
+            "bases": [72], "grid_per_axis": 3}
+        assert run({"command": "witness-sweep", "payload": payload}) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        row, = json.loads(captured.out)["rows"]
+        assert row["q"] == 625
+
+    def test_premature_budget_error_names_the_analytic_fallback(self, capsys):
+        # m = 3 at base 64: support arithmetic cannot rule out the square of
+        # the 3,872-term axis-0 vector, and expanding it is over the budget
+        payload = json.loads((EXAMPLES / "witness_sweep.json").read_text())
+        payload["config"]["log_cov"]["m"] = 3
+        payload["bases"] = [64]
+        assert run({"command": "witness-sweep", "payload": payload}) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "shiftlab: config error: axis 0: 3872 nonzeros to the power 2 exceeds the "
+            "budget 2000000; support arithmetic could not show that power 2 < m = 3 "
+            "vanishes after N = 532480 shifts; use a larger base"]
 
     def test_sweep_csv_columns(self, tmp_path):
         payload = {"config": witness_cfg_json(), "bases": [100, 128],
@@ -584,7 +610,7 @@ class TestOrbitProbe:
         cfg = WitnessConfig.from_json_dict(witness_cfg_json())
         w = build_witness(cfg)
         lam = (1.275, 1.225)  # anchor coordinates: approach error vanishes
-        ev = eval_analytic(w, cfg, lam)
+        ev = eval_analytic(w, lam)
         n_i = w.powers[ev.cell_index]
         assert ev.total_error < 0.05
         squared = tuple(power(x, cfg.m, ProductKind.CONVOLUTION) for x in w.vectors)

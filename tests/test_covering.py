@@ -120,6 +120,15 @@ class TestLogCoveringGeometry:
             [c.box for c in cov.cells], ((1.2, 1.5),) * 3)
         assert covered
 
+    @pytest.mark.parametrize("g", [11, 13, 22, 25, 26])
+    def test_last_edge_is_the_upper_bound(self, g):
+        # 1.011 + g * ((1.833 - 1.011) / g) misses 1.833 by one ulp for these g
+        boxes = list(covering._grid_boxes(((1.011, 1.833),), g))
+        assert boxes[-1][0][1] == 1.833
+        side = (1.833 - 1.011) / g
+        assert [b[0][0] for b in boxes] == [1.011 + i * side for i in range(g)]
+        assert [b[0][1] for b in boxes[:-1]] == [b[0][0] for b in boxes[1:]]
+
 
 class TestLogCoveringValidation:
     def test_box_doubling_invariant(self):

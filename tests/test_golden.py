@@ -24,6 +24,7 @@ CASES = {
     "log_cover_build.json": ("cover-build", "log_cover_build", "json"),
     "orbit_probe.json": ("orbit-probe", "orbit_probe", "json"),
     "unif_check.json": ("unif-check", "unif_check", "json"),
+    "witness_build.json": ("witness-build", "witness_build", "json"),
     "witness_eval.json": ("witness-eval", "witness_eval", "json"),
     "witness_sweep.json": ("witness-sweep", "witness_sweep", "json"),
     "witness_sweep.csv": ("witness-sweep", "witness_sweep", "csv"),

@@ -29,12 +29,12 @@ def zero_pair():
     return (SeqVec(), SeqVec())
 
 
-def override_config(v=(None, None), m=2, base=100, q=4, u=None, eta=0.1, box=BOX):
+def override_config(v=(None, None), m=2, base=100, q=4, u=None, eta=0.1, box=BOX, fams=None):
     p = LogCoveringParams(box=box, m=m, r=1, base=base)
     cov = build_log_covering(p, q_override=q)
     v = tuple(x if x is not None else basis(0) for x in v)
     u = u if u is not None else zero_pair()
-    return WitnessConfig(log_cov=p, u=u, v=v, eta=eta, cov_override=cov)
+    return WitnessConfig(log_cov=p, u=u, v=v, eta=eta, fams=fams, cov_override=cov)
 
 
 class TestBuild:
@@ -62,7 +62,7 @@ class TestBuild:
         lam1 = cov.cells[0].anchor[0]
         expected = 1.0 / (2.0 * w.eps[0]
                           * math.exp(log_cum_window(PP, lam1, 0, w.powers[0])))
-        assert w.coeffs[(0, 0, 1)] == pytest.approx(expected, rel=1e-12)
+        assert w.coeffs[0][0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_support_layout(self):
         cfg = override_config(v=(basis(0) + 0.5 * basis(1), basis(0)))
@@ -88,7 +88,7 @@ class TestBuild:
                             eta=0.1, cov_override=cov)
         w = build_witness(cfg, on_collision="merge")
         assert w.collision_indices == (16,)
-        ev = eval_analytic(w, cfg, (1.25, 1.25))
+        ev = eval_analytic(w, (1.25, 1.25))
         assert not ev.separation_ok
 
     def test_cprime(self):
@@ -103,7 +103,7 @@ class TestAnalytic:
         cfg = override_config(v=(basis(0) + 0.5 * basis(1), basis(0)))
         w = build_witness(cfg)
         for i in range(w.q):
-            ev = eval_analytic(w, cfg, w.covering.cells[i].anchor)
+            ev = eval_analytic(w, w.covering.cells[i].anchor)
             assert ev.cell_index == i
             assert all(e <= 1e-12 for e in ev.p1_err)
 
@@ -111,7 +111,7 @@ class TestAnalytic:
         cfg = override_config()
         w = build_witness(cfg)
         lam = (1.25, 1.25)
-        ev = eval_analytic(w, cfg, lam)
+        ev = eval_analytic(w, lam)
         n_i = w.powers[ev.cell_index]
         m, sigma = 2, cfg.sigma
         a_lo = 1.2
@@ -133,7 +133,7 @@ class TestAnalytic:
                             eta=0.1, cov_override=cov2)
         w = build_witness(cfg)
         lam = cov2.cells[-1].anchor
-        ev = eval_analytic(w, cfg, lam)
+        ev = eval_analytic(w, lam)
         assert not ev.separation_ok
         assert ev.p3_norm[0] == 0.0  # the separator is annihilated, not reflected
 
@@ -141,12 +141,12 @@ class TestAnalytic:
         cfg = override_config()
         w = build_witness(cfg)
         with pytest.raises(ValueError, match="outside"):
-            eval_analytic(w, cfg, (0.5, 0.5))
+            eval_analytic(w, (0.5, 0.5))
 
     def test_dominant_branch_reported(self):
         cfg = override_config()
         w = build_witness(cfg)
-        ev = eval_analytic(w, cfg, (1.2, 1.2))  # first cell, below later anchors
+        ev = eval_analytic(w, (1.2, 1.2))  # first cell, below later anchors
         assert ev.cell_index == 0
         assert set(ev.dominant_branch) <= {-1, 0, 1}
 
@@ -180,6 +180,16 @@ def window_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def offsets_calls(monkeypatch):
+    """Arguments of every log_cum_window_offsets call made from the witness module."""
+    calls = []
+    offsets = witness.log_cum_window_offsets
+    monkeypatch.setattr(witness, "log_cum_window_offsets",
+                        lambda *args: calls.append(args) or offsets(*args))
+    return calls
+
+
 class TestAnchorWindows:
     @pytest.mark.parametrize("cfg, mode", [
         (override_config(v=V2), "error"),
@@ -187,39 +197,96 @@ class TestAnchorWindows:
     ])
     def test_one_window_per_coefficient(self, cfg, mode):
         w = build_witness(cfg, on_collision=mode)
-        assert w.anchor_windows.keys() == w.coeffs.keys()
-        for (ax, l, j), got in w.anchor_windows.items():
-            anchor = w.covering.cells[j - 1].anchor[ax]
-            assert got == log_cum_window(cfg.fams[ax], anchor, l, w.powers[j - 1])
+        for ax in range(cfg.d):
+            ls = cfg.v[ax].support()
+            assert w.anchor_windows[ax].shape == w.coeffs[ax].shape == (w.q, len(ls))
+            for j, cell in enumerate(w.covering.cells):
+                for col, l in enumerate(ls):
+                    assert w.anchor_windows[ax][j, col] == log_cum_window(
+                        cfg.fams[ax], cell.anchor[ax], l, w.powers[j])
 
     @pytest.mark.parametrize("cfg", [override_config(v=V2, q=9), past_separator_config()])
-    def test_eval_reads_anchor_windows(self, cfg, window_calls):
-        # per axis: |supp v| windows for P1, (q - 1 - i)*|supp v| for P2 and
-        # one for P3 when m*sigma >= N_i; no anchor window is recomputed
+    def test_eval_reads_anchor_windows(self, cfg, window_calls, offsets_calls):
+        # per axis: one array call for the (q - i) x |supp v| windows of P1
+        # and P2, all at (lam, N_i), and one scalar window for P3 when
+        # m*sigma >= N_i; no anchor window is recomputed
         w = build_witness(cfg)
         for i in range(w.q):
             window_calls.clear()
-            assert eval_analytic(w, cfg, w.covering.cells[i].anchor).cell_index == i
-            tail = 1 if cfg.m * cfg.sigma >= w.powers[i] else 0
-            assert len(window_calls) == sum((w.q - i) * cfg.v[ax].nnz + tail
-                                            for ax in range(cfg.d))
+            offsets_calls.clear()
+            lam = w.covering.cells[i].anchor
+            assert eval_analytic(w, lam).cell_index == i
+            n_i = w.powers[i]
+            assert len(offsets_calls) == cfg.d
+            for ax, (fam, x, offs, n) in enumerate(offsets_calls):
+                assert (fam, x, n) == (cfg.fams[ax], lam[ax], n_i)
+                want = [[n_j - n_i + l for l in cfg.v[ax].support()] for n_j in w.powers[i:]]
+                assert offs.tolist() == want
+            tail = cfg.m * cfg.sigma >= n_i
+            assert window_calls == [(cfg.fams[ax], lam[ax], cfg.m * cfg.sigma - n_i, n_i)
+                                    for ax in range(cfg.d)] * tail
+
+
+def scalar_p1_p2(w, lam):
+    """(P1, P2, dominant branch) per axis from one log_cum_window call per
+    (cell j >= i, support index l) and a first-maximum scan: the loop whose
+    bits the array path must keep."""
+    i = witness.locate_cell(w.covering, lam)
+    n_i = w.powers[i]
+    out = []
+    for ax, fam in enumerate(w.cfg.fams):
+        err, terms, branch, worst = [], [], 0, -math.inf
+        for j in range(i, w.q):
+            anchor = w.covering.cells[j].anchor[ax]
+            for l, vl in w.cfg.v[ax].items_sorted():
+                dw = (log_cum_window(fam, lam[ax], w.powers[j] - n_i + l, n_i)
+                      - log_cum_window(fam, anchor, l, w.powers[j]))
+                if j == i:
+                    err.append(abs(vl) * abs(math.expm1(dw)))
+                    continue
+                terms.append(abs(vl) * math.exp(dw))
+                if terms[-1] > worst:
+                    worst = terms[-1]
+                    branch = 1 if lam[ax] > anchor else (-1 if lam[ax] < anchor else 0)
+        out.append((math.fsum(err), math.fsum(terms), branch))
+    return out
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("fam", [
+        PP, WeightFamily.affine(0.0), WeightFamily.affine(0.4), WeightFamily.exp_alpha(0.5),
+        WeightFamily.power_ratio(), WeightFamily.geometric()])
+    def test_bits_of_the_scalar_loop(self, fam):
+        v = (basis(0) + 0.5 * basis(1) - 0.25 * basis(3), SeqVec())  # axis 1 without target
+        for cfg, mode in [(override_config(v=v, q=9, fams=(fam, fam)), "error"),
+                          (replace(merged_collision_config(), fams=(fam, fam)), "merge")]:
+            w = build_witness(cfg, on_collision=mode)
+            rng = random.Random(3)
+            for lam in [c.anchor for c in w.covering.cells] + [
+                    (rng.uniform(1.2, 1.3), rng.uniform(1.2, 1.3)) for _ in range(10)]:
+                ev = eval_analytic(w, lam)
+                assert list(zip(ev.p1_err, ev.p2_norm, ev.dominant_branch)) == \
+                    scalar_p1_p2(w, lam)
 
 
 class TestOracleEquivalence:
     def test_twenty_random_points(self):
-        cfg = override_config(v=(basis(0) + 0.5 * basis(1), basis(0)))
-        w = build_witness(cfg)
-        rng = random.Random(42)
-        for _ in range(20):
-            lam = (rng.uniform(1.2, 1.3), rng.uniform(1.2, 1.3))
-            ea = eval_analytic(w, cfg, lam)
-            eb = eval_bruteforce(w, cfg, lam, w.powers[ea.cell_index])
-            assert ea.separation_ok and eb.separation_ok
-            for a, b in zip(ea.p1_err + ea.p2_norm + ea.p3_norm,
-                            eb.p1_err + eb.p2_norm + eb.p3_norm):
-                assert a == pytest.approx(b, rel=1e-9)
-            assert ea.premature_max == 0.0
-            assert eb.premature_max == 0.0
+        # pure_power, and the paper's affine(0) and affine(0.4), whose windows
+        # the analytic path reads from the prefix table in one gather per axis
+        for fam in (PP, WeightFamily.affine(0.0), WeightFamily.affine(0.4)):
+            cfg = override_config(v=(basis(0) + 0.5 * basis(1), basis(0)), fams=(fam, fam))
+            w = build_witness(cfg)
+            rng = random.Random(42)
+            for _ in range(20):
+                lam = (rng.uniform(1.2, 1.3), rng.uniform(1.2, 1.3))
+                ea = eval_analytic(w, lam)
+                eb = eval_bruteforce(w, lam, w.powers[ea.cell_index])
+                assert ea.separation_ok and eb.separation_ok
+                for a, b in zip(ea.p1_err + ea.p2_norm + ea.p3_norm,
+                                eb.p1_err + eb.p2_norm + eb.p3_norm):
+                    assert a == pytest.approx(b, rel=1e-9), fam
+                assert ea.premature_max == 0.0
+                assert eb.premature_max == 0.0
 
     def test_cubic_power(self):
         p = LogCoveringParams(box=BOX, m=3, r=1, base=22)
@@ -230,8 +297,8 @@ class TestOracleEquivalence:
         rng = random.Random(7)
         for _ in range(5):
             lam = (rng.uniform(1.2, 1.3), rng.uniform(1.2, 1.3))
-            ea = eval_analytic(w, cfg, lam)
-            eb = eval_bruteforce(w, cfg, lam, w.powers[ea.cell_index])
+            ea = eval_analytic(w, lam)
+            eb = eval_bruteforce(w, lam, w.powers[ea.cell_index])
             assert ea.separation_ok
             for a, b in zip(ea.p1_err + ea.p2_norm + ea.p3_norm,
                             eb.p1_err + eb.p2_norm + eb.p3_norm):
@@ -242,8 +309,8 @@ class TestOracleEquivalence:
         cfg = override_config(u=u, v=(basis(0) + 0.5 * basis(1), basis(0)))
         w = build_witness(cfg)
         lam = (1.27, 1.22)
-        ea = eval_analytic(w, cfg, lam)
-        eb = eval_bruteforce(w, cfg, lam, w.powers[ea.cell_index])
+        ea = eval_analytic(w, lam)
+        eb = eval_bruteforce(w, lam, w.powers[ea.cell_index])
         assert ea.separation_ok
         for a, b in zip(ea.p1_err + ea.p2_norm + ea.p3_norm,
                         eb.p1_err + eb.p2_norm + eb.p3_norm):
@@ -253,7 +320,7 @@ class TestOracleEquivalence:
         cfg = override_config(m=3, base=22, v=(basis(0), basis(0)))
         w = build_witness(cfg)
         lam = (1.24, 1.28)
-        eb = eval_bruteforce(w, cfg, lam, w.powers[eval_analytic(w, cfg, lam).cell_index])
+        eb = eval_bruteforce(w, lam, w.powers[eval_analytic(w, lam).cell_index])
         assert eb.separation_ok
         assert eb.premature_max == 0.0
 
@@ -262,7 +329,7 @@ class TestOracleEquivalence:
         cfg = override_config(v=v, base=200, q=100)
         w = build_witness(cfg)
         with pytest.raises(BruteForceBudgetError, match="analytic"):
-            eval_bruteforce(w, cfg, (1.25, 1.25), w.powers[0], budget=10_000)
+            eval_bruteforce(w, (1.25, 1.25), w.powers[0], budget=10_000)
 
 
 class TestLipschitzControl:
@@ -274,7 +341,7 @@ class TestLipschitzControl:
         grid = [1.2 + 0.025 * k for k in range(5)]
         for _ in range(15):
             lam = (rng.uniform(1.2, 1.3), rng.uniform(1.2, 1.3))
-            ev = eval_analytic(w, cfg, lam)
+            ev = eval_analytic(w, lam)
             i = ev.cell_index
             n_i = w.powers[i]
             for ax in range(2):
@@ -310,12 +377,11 @@ class TestSymmetry:
         cfg = override_config(v=v)
         w = build_witness(cfg)
         assert w.eps[0] == w.eps[1]
-        for (ax, l, j), c in w.coeffs.items():
-            cell = w.covering.cells[j - 1]
+        for j, cell in enumerate(w.covering.cells):
             if cell.anchor[0] == cell.anchor[1]:
-                assert c == w.coeffs[(1 - ax, l, j)]
+                assert w.coeffs[0][j].tolist() == w.coeffs[1][j].tolist()
         lam = (1.26, 1.26)
-        ev = eval_analytic(w, cfg, lam)
+        ev = eval_analytic(w, lam)
         assert ev.p1_err[0] == pytest.approx(ev.p1_err[1], rel=1e-12)
         assert ev.p3_norm[0] == pytest.approx(ev.p3_norm[1], rel=1e-12)
 
@@ -351,6 +417,12 @@ class TestSweep:
                 tracemalloc.stop()
 
         assert peak([16, 17]) < 1.25 * peak([17])
+
+    def test_lambda_grid_ends_at_the_upper_bound(self):
+        # 0.598 + 3 * ((1.373 - 0.598) / 3) lands one ulp above 1.373
+        grid = witness._lambda_grid(((0.598, 1.373),), 4)
+        step = (1.373 - 0.598) / 3
+        assert grid == [(0.598,), (0.598 + step,), (0.598 + 2 * step,), (1.373,)]
 
     def test_predicted_slope_column(self):
         cfg = override_config()
