@@ -111,7 +111,9 @@ def orbit_probe(
     For each target tuple, reports the least N <= n_max with
     ||T^N x - target|| < eps in the chosen norm, or a miss.  The N-fold
     application is closed-form, O(nonzeros) per step via per-axis prefix
-    tables of the log cumulative weights.
+    tables of the log cumulative weights; each step's T^N x is built once
+    for every target not yet hit.  T^N x is zero for every N past the
+    largest support index of x, so the scan stops at the first such N.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -121,37 +123,28 @@ def orbit_probe(
     d = len(fams)
     if len(lam) != d or len(x) != d:
         raise ValueError("lambda and x must match the family dimension")
-    prefixes = []
-    for ax in range(d):
-        top = x[ax].support_max() or 0
-        prefixes.append(log_cum_prefix(fams[ax], lam[ax], top))
-    results = []
-    for t_idx, target in enumerate(targets):
-        target = tuple(target)
-        if len(target) != d:
-            raise ValueError("every target needs one vector per axis")
-        hit_n: Optional[int] = None
-        hit_err = math.inf
-        start = 0 if allow_zero else 1
-        for N in range(start, n_max + 1):
+    targets = [tuple(t) for t in targets]
+    if any(len(t) != d for t in targets):
+        raise ValueError("every target needs one vector per axis")
+    tops = [v.support_max() for v in x]
+    prefixes = [log_cum_prefix(f, a, top or 0) for f, a, top in zip(fams, lam, tops)]
+    start = 0 if allow_zero else 1
+    last = max(start, max((t for t in tops if t is not None), default=-1) + 1)
+    found = [(None, None)] * len(targets)
+    for N in range(start, min(n_max, last) + 1):
+        pending = [t for t, (n, _) in enumerate(found) if n is None]
+        if not pending:
+            break
+        orbit = [SeqVec({k - N: c * math.exp(pref[k] - pref[k - N])
+                         for k, c in v.items() if k >= N}) for v, pref in zip(x, prefixes)]
+        for t in pending:
             err = 0.0
             for ax in range(d):
-                pref = prefixes[ax]
-                entries = {}
-                for k, c in x[ax].items():
-                    if k >= N:
-                        entries[k - N] = c * math.exp(pref[k] - pref[k - N])
-                err += seq_norm(SeqVec(entries) - target[ax], space_norm)
+                err += seq_norm(orbit[ax] - targets[t][ax], space_norm)
             if err < eps:
-                hit_n, hit_err = N, err
-                break
-        results.append({
-            "target": t_idx,
-            "hit": hit_n is not None,
-            "N": hit_n,
-            "error": hit_err if hit_n is not None else None,
-        })
-    return results
+                found[t] = (N, err)
+    return [{"target": t, "hit": n is not None, "N": n, "error": err}
+            for t, (n, err) in enumerate(found)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,8 @@ terms (or mpmath) in tests/test_weights.py:
               reads it with one gather
     Stirling  alpha == 0, n > _FSUM_MAX (2**21): Gamma-ratio telescoping
               with lognum.lgamma_ratio, relative error below 1e-11
-    fsum      any other window: math.fsum over chunks of at most _FSUM_MAX
-              terms, then fsum of the chunk sums; one chunk (n <= _FSUM_MAX)
-              is correctly rounded, several are within a few ulp
+    fsum      any other window: one math.fsum over all its terms, fed
+              _CHUNK at a time; correctly rounded at any length
 
 Windows and prefixes are nondecreasing in lam as computed, which the
 checkers rely on to read floors at the least parameter point; the Stirling
@@ -59,17 +58,18 @@ _VARIANTS = ("affine", "pure_power", "exp_alpha", "power_ratio", "geometric")
 # table (within 1 ulp of fsum, O(1) per window once the table is built:
 # 0.1 ms for 2**12 entries, about 2 ms for 2**16); affine(0) windows longer
 # than _FSUM_MAX use the Stirling form (relative error below 1e-11); all
-# others are summed with math.fsum in chunks of _FSUM_MAX terms (correctly
-# rounded for one chunk).  Tables come in power-of-two sizes from _TABLE_MIN
-# up, so one (alpha, lam) holds at most five of them.
+# others take one math.fsum over their terms (correctly rounded).  Tables
+# come in power-of-two sizes from _TABLE_MIN up, so one (alpha, lam) holds
+# at most five of them.
 _TABLE_MIN = 1 << 12
 _TABLE_MAX = 1 << 16
 _FSUM_MAX = 1 << 21
 # Stirling's series for log Gamma ratios is used from this argument on.
 _STIRLING_MIN = 1 << 14
-# Block of log_cum_chunks.  glibc keeps freed heap, so it sets the peak: the
-# benchmark's two n_max 1e6 corollary jobs peaked at 36 MB RSS with 2**14,
-# 45 MB with 2**16, 75 MB with 2**18 and 111 MB with whole prefixes.
+# Block of log_cum_chunks and of the fsum path.  glibc keeps freed heap, so
+# it sets the peak: the benchmark's two n_max 1e6 corollary jobs peaked at
+# 36 MB RSS with 2**14, 45 MB with 2**16, 75 MB with 2**18 and 111 MB with
+# whole prefixes.
 _CHUNK = 1 << 14
 
 
@@ -185,21 +185,17 @@ def _affine_terms(alpha: float, lam: float, idx: np.ndarray) -> np.ndarray:
 
 
 def _affine_fsum_window(alpha: float, lam: float, l: int, n: int) -> float:
-    """math.fsum per chunk of at most _FSUM_MAX terms, then fsum of the chunk sums.
+    """math.fsum over the window's terms, correctly rounded at any length.
 
-    Each chunk reaches fsum as Python floats _CHUNK at a time, in order, so
-    memory is one float64 chunk and fsum sees the sequence of one whole list.
+    The terms reach fsum as Python floats _CHUNK at a time, in order, so
+    memory is one _CHUNK block and fsum sees the sequence of one whole list.
     """
-    sums = []
-    for start in range(l + 1, l + n + 1, _FSUM_MAX):
-        idx = np.arange(start, min(start + _FSUM_MAX, l + n + 1), dtype=np.float64)
-        t = _affine_terms(alpha, lam, idx)
-        sums.append(math.fsum(itertools.chain.from_iterable(
-            t[i:i + _CHUNK].tolist() for i in range(0, len(t), _CHUNK))))
-    return math.fsum(sums)
+    return math.fsum(itertools.chain.from_iterable(
+        _affine_terms(alpha, lam, np.arange(s, min(s + _CHUNK, l + n + 1),
+                                            dtype=np.float64)).tolist()
+        for s in range(l + 1, l + n + 1, _CHUNK)))
 
 
-@lru_cache(maxsize=4096)
 def _affine0_lgamma_shift(lam: float, z: int) -> float:
     """log(Gamma(z+lam)/Gamma(z)) for the affine(0) cumulative product.
 

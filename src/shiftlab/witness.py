@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,6 +50,16 @@ class SupportCollisionError(ValueError):
 
 class BruteForceBudgetError(RuntimeError):
     """Convolution power too large to expand; use the analytic path."""
+
+
+@contextmanager
+def _in_range(what: str, ax: int, lam: float):
+    """Re-raise an OverflowError in the block as a ValueError naming the quantity."""
+    try:
+        yield
+    except OverflowError:
+        raise ValueError(f"{what} on axis {ax} at lambda = {lam!r} overflows the double "
+                         f"range") from None
 
 
 @dataclass(frozen=True)
@@ -199,11 +210,12 @@ def build_witness(cfg: WitnessConfig, on_collision: str = "error") -> Witness:
     powers = cov.powers
     q = cov.q
 
-    log_eps = []
+    log_eps, eps = [], []
     for ax in range(d):
         a_lo = cfg.log_cov.box[ax][0]
         log_eps.append(-log_cum_window(cfg.fams[ax], a_lo, 0, m * sigma) / m)
-    eps = tuple(math.exp(x) for x in log_eps)
+        with _in_range("the separator coefficient eps", ax, a_lo):
+            eps.append(math.exp(log_eps[-1]))
 
     coeffs = []
     anchor_windows = []
@@ -219,8 +231,11 @@ def build_witness(cfg: WitnessConfig, on_collision: str = "error") -> Witness:
                 raise ValueError(
                     f"cell power N_{j} = {n_j} smaller than (m-1)*sigma = {(m-1)*sigma}")
             windows.append([log_cum_window(fam, cell.anchor[ax], l, n_j) for l, _ in v])
-        cs = [math.copysign(math.exp(sh - wl), vl)
-              for row in windows for sh, wl, (_, vl) in zip(shift, row, v)]
+        cs = []
+        for cell, row in zip(cov.cells, windows):
+            with _in_range("a d-coefficient", ax, cell.anchor[ax]):
+                cs += [math.copysign(math.exp(sh - wl), vl)
+                       for sh, wl, (_, vl) in zip(shift, row, v)]
         anchor_windows.append(np.reshape(windows, (q, len(v))))
         coeffs.append(np.reshape(cs, (q, len(v))))
 
@@ -238,7 +253,7 @@ def build_witness(cfg: WitnessConfig, on_collision: str = "error") -> Witness:
         raise SupportCollisionError(collision)
 
     cprime = min(lo / hi for lo, hi in cfg.log_cov.box) - 1.0 / m
-    return Witness(cfg=cfg, vectors=tuple(vecs), eps=eps, log_eps=tuple(log_eps),
+    return Witness(cfg=cfg, vectors=tuple(vecs), eps=tuple(eps), log_eps=tuple(log_eps),
                    coeffs=tuple(coeffs), anchor_windows=tuple(anchor_windows),
                    powers=list(powers), q=q, cprime=cprime, covering=cov,
                    collision_indices=tuple(sorted(collision)))
@@ -340,14 +355,19 @@ def _axis_errors(w: Witness, ax: int, x: float, i: int) -> Tuple[float, float, f
         dt = np.int64 if w.powers[-1] + ls[-1] <= MAX_INDEX else object
         offs = (np.array(w.powers[i:], dtype=dt) - n_i)[:, None] + np.array(ls, dtype=dt)
         dw = (log_cum_window_offsets(fam, x, offs, n_i) - w.anchor_windows[ax][i:]).tolist()
-        terms = [abs(vl) * math.exp(e) for row in dw[1:] for e, (_, vl) in zip(row, v)]
-        p1 = math.fsum(abs(vl) * abs(math.expm1(e)) for e, (_, vl) in zip(dw[0], v))
-        p2 = math.fsum(terms)
+        with _in_range("P1", ax, x):
+            p1 = math.fsum(abs(vl) * abs(math.expm1(e)) for e, (_, vl) in zip(dw[0], v))
+        with _in_range("P2", ax, x):
+            terms = [abs(vl) * math.exp(e) for row in dw[1:] for e, (_, vl) in zip(row, v)]
+            p2 = math.fsum(terms)
         if terms:
             anchor = w.covering.cells[i + 1 + terms.index(max(terms)) // len(v)].anchor[ax]
             branch = 1 if x > anchor else (-1 if x < anchor else 0)
     k = cfg.m * cfg.sigma - n_i  # the separator's index after the shift
-    p3 = math.exp(cfg.m * w.log_eps[ax] + log_cum_window(fam, x, k, n_i)) if k >= 0 else 0.0
+    p3 = 0.0
+    if k >= 0:
+        with _in_range("P3", ax, x):
+            p3 = math.exp(cfg.m * w.log_eps[ax] + log_cum_window(fam, x, k, n_i))
     return p1, p2, p3, branch
 
 
@@ -357,6 +377,12 @@ def _conv_budget_check(w: Witness, n: int, budget: int, advice: str):
             raise BruteForceBudgetError(
                 f"axis {ax}: {vec.nnz} nonzeros to the power {n} exceeds the "
                 f"budget {budget}; {advice}")
+
+
+def _shift(w: Witness, ax: int, x: float, N: int, vec: SeqVec) -> SeqVec:
+    """B^N vec on axis ax at lam = x, by the closed-form sparse shift."""
+    with _in_range(f"the brute-force shift B^{N}", ax, x):
+        return apply_backward_power(w.cfg.fams[ax], x, N, vec)
 
 
 def _premature_bruteforce(w: Witness, lam, N: int, budget: int = _BUDGET) -> float:
@@ -370,11 +396,10 @@ def _premature_bruteforce(w: Witness, lam, N: int, budget: int = _BUDGET) -> flo
             f"support arithmetic could not show that power {n} < m = {m} vanishes "
             f"after N = {N} shifts; use a larger base"))
         total = 0.0
-        for ax, fam in enumerate(w.cfg.fams):
+        for ax in range(w.cfg.d):
             if n > 1:
                 pws[ax] = product(pws[ax], w.vectors[ax], ProductKind.CONVOLUTION)
-            shifted = apply_backward_power(fam, lam[ax], N, pws[ax])
-            total += norm(shifted, L1)
+            total += norm(_shift(w, ax, lam[ax], N, pws[ax]), L1)
         worst = max(worst, total)
     return worst
 
@@ -401,7 +426,7 @@ def eval_bruteforce(w: Witness, lam: Sequence[float], N: int,
     idx3 = m * sigma - N
     for ax in range(d):
         pw = power(w.vectors[ax], m, ProductKind.CONVOLUTION)
-        res = apply_backward_power(cfg.fams[ax], lam[ax], N, pw)
+        res = _shift(w, ax, lam[ax], N, pw)
         head: Dict[int, float] = {}
         tail_sum = []
         p3_val = 0.0
@@ -428,12 +453,10 @@ def eval_bruteforce(w: Witness, lam: Sequence[float], N: int,
 
 
 def _lambda_grid(box, per_axis: int) -> List[Tuple[float, ...]]:
-    """per_axis points per axis from lo to hi itself (lo + k * step can pass hi)."""
+    """per_axis points per axis from np.linspace; one point is the box centre."""
     if per_axis == 1:
         return [tuple((lo + hi) / 2.0 for lo, hi in box)]
-    return list(itertools.product(
-        *([lo + k * ((hi - lo) / (per_axis - 1)) for k in range(per_axis - 1)] + [hi]
-          for lo, hi in box)))
+    return list(itertools.product(*(np.linspace(lo, hi, per_axis).tolist() for lo, hi in box)))
 
 
 def sweep_sigma(cfg_template: WitnessConfig, bases: Sequence[int],

@@ -5,16 +5,19 @@ import io
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from shiftlab.cli import main, orbit_probe, run
 from shiftlab.covering import LogCoveringParams, build_log_covering
-from shiftlab.seqspace import SeqVec, basis
-from shiftlab.weights import WeightFamily
+from shiftlab.seqspace import L1, SUP, SeqVec, SpaceNorm, basis, norm
+from shiftlab.weights import WeightFamily, log_cum_prefix
 from shiftlab.witness import WitnessConfig, build_witness, eval_analytic
 
 PP = WeightFamily.pure_power()
@@ -406,6 +409,30 @@ class TestWitnessCommands:
             for x, y in zip(a[key], b[key]):
                 assert x == pytest.approx(y, rel=1e-9)
 
+    @staticmethod
+    def geometric_sweep(box, m, r, base):
+        cfg = {"log_cov": {"box": [box], "m": m, "r": r, "base": base},
+               "u": [{"entries": []}], "v": [{"entries": [[0, 1.0]]}], "eta": 0.05,
+               "families": [{"variant": "geometric"}]}
+        return {"command": "witness-sweep", "payload": {"config": cfg, "bases": [base]}}
+
+    @pytest.mark.parametrize("box, m, r, base, what", [
+        ([1.15, 1.51], 3, 1, 96, "P1 on axis 0 at lambda = 1.33"),  # in eval_analytic
+        ([0.6, 0.9], 2, 2, 40, "the separator coefficient eps on axis 0 at lambda = 0.6"),
+    ])
+    def test_a_value_past_the_double_range_is_named(self, capsys, box, m, r, base, what):
+        assert run(self.geometric_sweep(box, m, r, base)) == 2
+        assert capsys.readouterr().err == \
+            f"shiftlab: config error: {what} overflows the double range\n"
+
+    def test_the_row_below_the_overflow_keeps_its_values(self, capsys):
+        assert run(self.geometric_sweep([1.15, 1.51], 3, 1, 48)) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == [{
+            "N_1": 225792, "N_q": 3833856, "p1_worst": 4.6442294073033424e+126,
+            "p2_worst": 2.9660575756098296e-170, "p3_worst": 0.0,
+            "predicted_p2_slope": -0.49249448123620293, "premature_max": 0.0,
+            "q": 1567, "separation_ok": False, "sigma": 110592}]
+
     def test_witness_build_coeffs_follow_the_formula(self, capsys):
         # include_coeffs defaults to true; with v = e_0 on both axes and pure
         # power weights, d_{0,j} = exp(-(m-1) log eps - W(anchor_j, 0, N_j)) / m
@@ -628,6 +655,68 @@ class TestOrbitProbe:
         res = orbit_probe((PP,), (1.0,), x, targets, eps=1e-9, n_max=3)
         assert not res[0]["hit"]
         assert res[1]["hit"] and res[1]["N"] == 1
+
+    @staticmethod
+    def probe_each_target(fams, lam, x, targets, eps, n_max, space_norm, allow_zero):
+        """The probe as a plain scan: for every target, every N up to n_max."""
+        prefs = [log_cum_prefix(f, a, v.support_max() or 0) for f, a, v in zip(fams, lam, x)]
+        out = []
+        for t, target in enumerate(targets):
+            if len(target) != len(fams):
+                raise ValueError("every target needs one vector per axis")
+            hit = (None, None)
+            minus = [-1.0 * y for y in target]  # orbit - y is orbit + (-1.0) * y
+            for N in range(0 if allow_zero else 1, n_max + 1):
+                err = 0.0
+                for v, p, y in zip(x, prefs, minus):
+                    orbit = SeqVec({k - N: c * math.exp(p[k] - p[k - N])
+                                    for k, c in v.items() if k >= N})
+                    err += norm(orbit + y, space_norm)
+                if err < eps:
+                    hit = (N, err)
+                    break
+            out.append({"target": t, "hit": hit[0] is not None, "N": hit[0], "error": hit[1]})
+        return out
+
+    def test_random_probes_match_a_scan_of_every_target_and_step(self):
+        fams = [WeightFamily.affine(0.0), WeightFamily.affine(0.4), PP,
+                WeightFamily.exp_alpha(0.5), WeightFamily.power_ratio(),
+                WeightFamily.geometric()]
+        norms = [L1, SUP, SpaceNorm.lp(2.5)]
+        rng = random.Random(18)
+
+        def vec(top, scale):
+            return SeqVec({rng.randint(0, top): rng.uniform(-scale, scale)
+                           for _ in range(rng.randint(0, 3))})
+
+        hits = 0
+        for _ in range(3000):
+            d = rng.randint(1, 3)
+            x = tuple(vec(12, 2.0) for _ in range(d))
+            targets = [tuple(vec(6, 0.4) for _ in range(d)) for _ in range(rng.randint(0, 4))]
+            if targets and rng.random() < 0.02:
+                targets[-1] = targets[-1][:-1]
+            args = ([rng.choice(fams) for _ in range(d)],
+                    [rng.uniform(0.2, 2.5) for _ in range(d)], x, targets,
+                    0.0 if rng.random() < 0.1 else rng.uniform(0.0, 2.0),
+                    rng.randint(0, rng.choice([12, 80])),
+                    rng.choice(norms), rng.random() < 0.5)
+            try:
+                want = self.probe_each_target(*args)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                    orbit_probe(*args)
+                continue
+            got = orbit_probe(*args)
+            assert json.dumps(got) == json.dumps(want), args
+            hits += sum(r["hit"] for r in got)
+        assert hits > 2000
+
+    def test_scan_stops_one_step_past_the_support(self):
+        t0 = time.perf_counter()
+        res = orbit_probe((PP,), (1.5,), (basis(5),), [(basis(0),)], eps=1e-9, n_max=10**12)
+        assert time.perf_counter() - t0 < 1.0
+        assert res == [{"target": 0, "hit": False, "N": None, "error": None}]
 
 
 class TestDocsExamples:

@@ -266,6 +266,55 @@ class TestVerifier:
         assert not rep.conditions["d"].passed
         assert verify_graded(cov, K, GradedParams(eta=0.02, **base)).conditions["d"].passed
 
+    @staticmethod
+    def grid_covering(K, g, n0, delta):
+        return Covering(cells=tuple(
+            Cell(n=n0 + delta * j, anchor=tuple(lo for lo, _ in box), box=box)
+            for j, box in enumerate(covering._grid_boxes(K, g))))
+
+    def test_pair_checks_hold_bounded_memory(self):
+        # q = 12**3 in d = 3: unblocked, (c) built three (q, q, 3) float64
+        # temporaries of 68 MiB each and peaked at 205 MiB
+        K = ((1.0, 1.02),) * 3
+        cov = self.grid_covering(K, 12, 1000, 500)
+        p = GradedParams(alpha=0.3, beta=1.2, D=1.0, tau=1.0, eta=10.0, N=100, d=3)
+        tracemalloc.start()
+        try:
+            rep = verify_graded(cov, K, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+        assert set(rep.conditions) == {"a", "b_containment", "b_cover", "c", "d", "e"}
+
+    def test_row_blocks_keep_the_one_block_report(self, monkeypatch):
+        # the first least (c) slack in row-major (j, l) order and the first
+        # largest (e) row sum, whatever the block size; equal boxes tie
+        rng = random.Random(4)
+        for _ in range(30):
+            d = rng.randint(1, 3)
+            K = tuple((a, a + rng.choice([0.0, 0.01, rng.uniform(0.0, 0.3)]))
+                      for a in (rng.uniform(0.5, 2.0) for _ in range(d)))
+            cov = self.grid_covering(K, rng.randint(2, 5), rng.randint(1, 10**6),
+                                     rng.randint(1, 10**4))
+            p = GradedParams(alpha=0.9 / (3 * d), beta=1.0, D=rng.uniform(0.01, 1.0),
+                             tau=1.0, eta=10.0, N=1, d=d)
+            want = verify_graded(cov, K, p).to_json_dict()
+            for block in (1, 7, 64):
+                monkeypatch.setattr(covering, "_ROW_BLOCK", block)
+                assert verify_graded(cov, K, p).to_json_dict() == want
+            monkeypatch.undo()
+        # D = 5e-324 rounds every (c) bound to 0 and one repeated box gives
+        # every pair the same slack, so the witness is the first pair
+        K = ((1.0, 1.5),)
+        cov = Covering(cells=tuple(Cell(n=10**6 + 10 * j, anchor=(1.0,), box=K)
+                                   for j in range(5)))
+        p = GradedParams(alpha=0.5, beta=1.0, D=5e-324, tau=1.0, eta=10.0, N=1, d=1)
+        for block in (1, 2, 64):
+            monkeypatch.setattr(covering, "_ROW_BLOCK", block)
+            c = verify_graded(cov, K, p).conditions["c"]
+            assert (c.witness, c.bound, c.achieved) == ({"pair": [0, 1]}, 0.0, 0.5)
+
     def test_spacing_violation_detected(self):
         cells = (Cell(n=5, anchor=(0.0,), box=((0.0, 1.0),)),
                  Cell(n=7, anchor=(0.0,), box=((0.0, 1.0),)))

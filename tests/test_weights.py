@@ -123,12 +123,12 @@ class TestLargeWindowPaths:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 0.9])
     def test_fsum_window_has_the_bits_of_whole_chunk_lists(self, alpha):
-        # chunks reach fsum in slices; the reference hands it each chunk's list
+        # the terms reach fsum in slices; the reference hands it the whole
+        # window's terms at once, so every length is one correctly rounded sum
         F = weights._FSUM_MAX
         for lam, l, n in ((0.7, 0, 1_500_000), (2.3, 777, F + 3), (1.1, 10**6, 5_000_000)):
-            want = math.fsum(math.fsum(weights._affine_terms(
-                alpha, lam, np.arange(s, min(s + F, l + n + 1), dtype=np.float64)).tolist())
-                for s in range(l + 1, l + n + 1, F))
+            want = math.fsum(weights._affine_terms(
+                alpha, lam, np.arange(l + 1, l + n + 1, dtype=np.float64)))
             assert weights._affine_fsum_window(alpha, lam, l, n) == want, (lam, l, n)
 
     def test_fsum_window_holds_one_float64_chunk(self):

@@ -288,6 +288,43 @@ class TestOracleEquivalence:
                 assert ea.premature_max == 0.0
                 assert eb.premature_max == 0.0
 
+    def test_random_configs_over_every_family(self):
+        # m = 2 and 3, d = 1 and 2, zero or one-entry u, q = g**d with g <= 3.
+        # Geometric at m = 3 is left out: the main coefficient 3*d*eps**2 of
+        # (u')**3 falls below the least double there (about 1e-363 at base
+        # 12), SeqVec drops it, and eval_bruteforce is no oracle
+        fams = [WeightFamily.affine(0.0), WeightFamily.affine(0.4), PP,
+                WeightFamily.exp_alpha(0.5), WeightFamily.power_ratio(),
+                WeightFamily.geometric()]
+        rng = random.Random(18)
+        separated = 0
+        for _ in range(300):
+            d, m = rng.randint(1, 2), rng.randint(2, 3)
+            fam = tuple(rng.choice(fams[:-1] if m == 3 else fams) for _ in range(d))
+            p = LogCoveringParams(box=((1.2, 1.3),) * d, m=m, r=1,
+                                  base=rng.randint(4, 30 if m == 2 else 12))
+            cfg = WitnessConfig(
+                log_cov=p, eta=0.1, fams=fam,
+                u=tuple(rng.choice([SeqVec(), rng.uniform(-1.0, 1.0) * basis(0)])
+                        for _ in range(d)),
+                v=tuple(rng.choice([basis(0), basis(0) + 0.5 * basis(1)]) for _ in range(d)),
+                cov_override=build_log_covering(p, q_override=rng.randint(1, 3) ** d))
+            try:
+                w = build_witness(cfg)
+            except SupportCollisionError:
+                continue
+            lam = tuple(rng.uniform(1.2, 1.3) for _ in range(d))
+            ea = eval_analytic(w, lam)
+            if not ea.separation_ok:
+                continue
+            eb = eval_bruteforce(w, lam, w.powers[ea.cell_index])
+            for a, b in zip(ea.p1_err + ea.p2_norm + ea.p3_norm,
+                            eb.p1_err + eb.p2_norm + eb.p3_norm):
+                assert a == pytest.approx(b, rel=1e-9), cfg
+            assert ea.premature_max == eb.premature_max, cfg
+            separated += 1
+        assert separated > 200
+
     def test_cubic_power(self):
         p = LogCoveringParams(box=BOX, m=3, r=1, base=22)
         cov = build_log_covering(p, q_override=4)
@@ -323,6 +360,17 @@ class TestOracleEquivalence:
         eb = eval_bruteforce(w, lam, w.powers[eval_analytic(w, lam).cell_index])
         assert eb.separation_ok
         assert eb.premature_max == 0.0
+
+    def test_an_overflowing_shift_is_named(self):
+        p = LogCoveringParams(box=((1.2, 1.3),), m=2, r=1, base=40)
+        cfg = WitnessConfig(log_cov=p, u=(SeqVec(),), v=(basis(0),), eta=0.1,
+                            fams=(WeightFamily.geometric(),),
+                            cov_override=build_log_covering(p, q_override=1))
+        w = build_witness(cfg)
+        # the entry e_3200 of (u')**2 takes the factor 1.25**3200 = exp(714)
+        with pytest.raises(ValueError, match=r"^the brute-force shift B\^3200 on axis 0 at "
+                                             r"lambda = 1\.25 overflows the double range$"):
+            eval_bruteforce(w, (1.25,), 3200)
 
     def test_budget_guard(self):
         v = (SeqVec({k: 1.0 for k in range(12)}), basis(0))
