@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -44,10 +45,23 @@ class ConfigError(ValueError):
     pass
 
 
+# Draft-07 validation without the metaschema check that jsonschema.validate
+# makes on every call: _schema_for makes it once per command instead.
+_Draft7Checked = jsonschema.validators.extend(jsonschema.Draft7Validator)
+_Draft7Checked.check_schema = classmethod(lambda cls, schema: None)
+
+
+@functools.cache
 def _schema_for(command: str) -> dict:
+    """The command's schema, checked against draft-07 on the first call.
+
+    Every call returns the same dict: read it, do not change it.
+    """
     name = command.replace("-", "_") + ".schema.json"
     ref = resources.files("shiftlab.schemas").joinpath(name)
-    return json.loads(ref.read_text())
+    schema = json.loads(ref.read_text())
+    jsonschema.Draft7Validator.check_schema(schema)
+    return schema
 
 
 def _reject_non_finite(obj, path=("payload",)):
@@ -61,7 +75,7 @@ def _reject_non_finite(obj, path=("payload",)):
 
 def _validate_payload(command: str, payload: dict):
     try:
-        jsonschema.validate(payload, _schema_for(command))
+        jsonschema.validate(payload, _schema_for(command), cls=_Draft7Checked)
     except jsonschema.ValidationError as e:
         raise ConfigError(f"payload rejected by schema for {command}: {e.message}") from e
 

@@ -536,7 +536,10 @@ def build_graded_covering(K, p: GradedParams, g_max: int = 40) -> Covering:
     def n_cap_for(g: int) -> int:
         if S == 0.0:
             return 10**15
-        cap = int((p.tau * g / S) ** (1.0 / p.alpha))
+        try:
+            cap = int((p.tau * g / S) ** (1.0 / p.alpha))
+        except OverflowError:  # past the double range: the cap does not bind
+            return 10**15
         # float rounding in the power can overshoot by ~cap/alpha ulps, so
         # step down multiplicatively until the containment bound holds
         while cap >= 1 and p.tau / cap**p.alpha < S / g:

@@ -1,6 +1,7 @@
 """Tests for the batch CLI: exit codes, determinism, schemas, orbit probe."""
 
 import csv
+import functools
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import sys
 import time
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from shiftlab.cli import main, orbit_probe, run
@@ -113,6 +115,23 @@ class TestCoverCommands:
         rep = json.loads(Path(out).read_text())
         assert rep["pass"] is False
         assert rep["properties"]["d"]["achieved"] == pytest.approx(0.01875, rel=1e-15)
+
+    def test_graded_cap_past_double_range_does_not_bind(self, capsys):
+        # (tau*g/S)**(1/alpha) passes the double range at S = 1e-4 and
+        # alpha = 0.01: the containment cap does not bind, so one cell at
+        # n = N covers K
+        payload = {"kind": "graded", "K": [[1.0, 1.0001]],
+                   "params": {"alpha": 0.01, "beta": 0.3, "D": 0.5, "tau": 1.0,
+                              "eta": 1.4, "N": 290, "d": 1}}
+        assert run({"command": "cover-build", "payload": payload}) == 0
+        built = capsys.readouterr()
+        assert built.err == ""
+        cov = json.loads(built.out)
+        assert [c["n"] for c in cov["cells"]] == [290]
+        del cov["meta"]
+        assert run({"command": "cover-verify",
+                    "payload": {"covering": cov, "K": payload["K"]}}) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
     def test_log_cover_build(self, tmp_path):
         cfg = write(tmp_path, "log.json",
@@ -802,8 +821,9 @@ class TestSchemas:
             assert len({form for _, form in copies}) == 1, (names, sorted(copies))
 
     def test_every_schema_is_draft07(self):
-        # a 2020-12 declaration made each validate call check the schema
-        # against the 2020-12 metaschema, about 4x the cost of draft-07
+        # the CLI validates with a draft-07 class directly, not the class its
+        # $schema names, so the declaration must say draft-07; a 2020-12
+        # schema was also about 4x as costly to check as a draft-07 one
         from importlib import resources
 
         from jsonschema import Draft7Validator
@@ -814,3 +834,152 @@ class TestSchemas:
             schema = json.loads(f.read_text())
             assert schema["$schema"] == "http://json-schema.org/draft-07/schema#", f.name
             Draft7Validator.check_schema(schema)
+
+
+def _schema_file(command):
+    from importlib import resources
+    name = command.replace("-", "_") + ".schema.json"
+    return json.loads(resources.files("shiftlab.schemas").joinpath(name).read_text())
+
+
+def _json_nodes(obj, path=()):
+    """(path, value) for every node of a JSON value, in document order."""
+    yield path, obj
+    if isinstance(obj, (dict, list)):
+        for key, val in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _json_nodes(val, path + (key,))
+
+
+def _target(op, path):
+    # an "extra" fault sets the norm of the object at path to the lp form, the
+    # one payload form whose schema forbids other keys, with a key too many
+    return path + ("norm",) if op == "extra" else path
+
+
+def _apply(payload, faults):
+    """A copy of the payload with each (op, path) fault applied in turn."""
+    payload = json.loads(json.dumps(payload))
+    for op, path in faults:
+        path = _target(op, path)
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if op == "drop":
+            del parent[key]
+        elif op == "extra":
+            parent[key] = {"lp": 2.5, "unexpected": 1}
+        elif op == "type":
+            parent[key] = 1 if isinstance(parent[key], str) else "nope"
+        else:  # "below": under every minimum the schemas set
+            parent[key] = -1000
+    return payload
+
+
+# the schema keywords that reject each kind of fault
+FAULT_KINDS = {"drop": ("required",), "type": ("type",),
+               "extra": ("additionalProperties",), "below": ("minimum", "exclusiveMinimum")}
+
+
+@functools.cache
+def example_faults(name):
+    """Up to three single faults of each kind for a docs example, each one
+    rejected by its schema for that kind, spread over the payload."""
+    payload = json.loads((EXAMPLES / f"{name}.json").read_text())
+    validator = jsonschema.Draft7Validator(_schema_file(EXAMPLE_COMMANDS[name]))
+    found = {op: [] for op in FAULT_KINDS}
+    for path, val in _json_nodes(payload):
+        ops = ["extra"] if isinstance(val, dict) else []
+        ops += ["type"] if path else []
+        ops += ["below"] if isinstance(val, (int, float)) and not isinstance(val, bool) else []
+        faults = [(op, path) for op in ops]
+        if isinstance(val, dict):
+            faults += [("drop", path + (key,)) for key in val]
+        for op, where in faults:
+            bad = _apply(payload, [(op, where)])
+            err = jsonschema.exceptions.best_match(validator.iter_errors(bad))
+            if err is not None and err.validator in FAULT_KINDS[op]:
+                found[op].append((op, where))
+    return {op: tuple(fs[::max(1, len(fs) // 3)][:3]) for op, fs in found.items()}
+
+
+class TestSchemaRejections:
+    # an exit-2 message must be the one plain jsonschema.validate raises: the
+    # best match among all errors, not the first error a validator meets
+
+    @staticmethod
+    def multi_faults(singles):
+        """Two sets of up to three single faults whose targets do not nest,
+        picked first-fit from the front and from the back of the list."""
+        flat = [f for faults in singles.values() for f in faults]
+        sets = []
+        for order in (flat, flat[::-1]):
+            picked = {}
+            for op, path in order:
+                t = _target(op, path)
+                if len(picked) < 3 and all(t[:len(u)] != u and u[:len(t)] != t for u in picked):
+                    picked[t] = (op, path)
+            sets.append(list(picked.values()))
+        return [faults for faults in sets if len(faults) >= 2]
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_COMMANDS))
+    def test_message_matches_plain_validate(self, name, capsys):
+        command = EXAMPLE_COMMANDS[name]
+        payload = json.loads((EXAMPLES / f"{name}.json").read_text())
+        singles = example_faults(name)
+        assert singles["drop"] and singles["type"], singles
+        multis = self.multi_faults(singles)
+        assert multis
+        for faults in [[f] for fs in singles.values() for f in fs] + multis:
+            bad = _apply(payload, faults)
+            with pytest.raises(jsonschema.ValidationError) as plain:
+                jsonschema.validate(bad, _schema_file(command))
+            assert run({"command": command, "payload": bad}) == 2, faults
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == ("shiftlab: config error: payload rejected by schema for "
+                               f"{command}: {plain.value.message}\n"), faults
+
+    def test_every_fault_kind_is_exercised(self):
+        kinds = {op for name in EXAMPLE_COMMANDS for op, fs in example_faults(name).items() if fs}
+        assert kinds == set(FAULT_KINDS)
+
+
+class TestSchemaCheckedOncePerProcess:
+    @pytest.fixture(autouse=True)
+    def fresh_schema_cache(self):
+        from shiftlab import cli
+        cli._schema_for.cache_clear()
+        yield
+        cli._schema_for.cache_clear()
+
+    def test_one_metaschema_check_per_command(self, monkeypatch, capsys):
+        checked = []
+        check = jsonschema.Draft7Validator.check_schema
+
+        def counting(cls, schema):
+            checked.append(schema["title"])
+            check(schema)
+
+        monkeypatch.setattr(jsonschema.Draft7Validator, "check_schema", classmethod(counting))
+        for _ in range(3):
+            for name, command in EXAMPLE_COMMANDS.items():
+                payload = json.loads((EXAMPLES / f"{name}.json").read_text())
+                assert run({"command": command, "payload": payload}) == 0, name
+        capsys.readouterr()
+        commands = set(EXAMPLE_COMMANDS.values())
+        assert sorted(checked) == sorted(f"shiftlab {c} payload" for c in commands)
+
+    def test_a_broken_schema_raises_on_every_call(self, monkeypatch, tmp_path):
+        # a schema that fails its metaschema check is a bug in shiftlab, not
+        # a user's config error, so it must not exit 2, on any call
+        import types
+
+        from shiftlab import cli
+        (tmp_path / "orbit_probe.schema.json").write_text(json.dumps(
+            {"$schema": "http://json-schema.org/draft-07/schema#", "type": 12}))
+        monkeypatch.setattr(cli, "resources", types.SimpleNamespace(files=lambda pkg: tmp_path))
+        payload = json.loads((EXAMPLES / "orbit_probe.json").read_text())
+        for _ in range(3):
+            with pytest.raises(jsonschema.SchemaError):
+                run({"command": "orbit-probe", "payload": payload})

@@ -263,13 +263,33 @@ class TestMonotonicity:
             rows = [log_cum_prefix(fam, a, 5000) for a in grid]
             assert all((b >= a).all() for a, b in zip(rows, rows[1:])), grid
 
+    # window (offset, length) pairs on both sides of the affine table's 2**16 end
+    WINDOWS = ((0, 1), (0, 300), (7, 5000), (0, 70_000), (40_000, 30_000))
+
     @pytest.mark.parametrize("fam", MONOTONE_FAMILIES, ids=family_id)
     def test_windows_nondecreasing_on_narrow_grids(self, fam):
         # affine windows ending below 2**16 read the prefix table, the others fsum
-        for grid, (l, n) in itertools.product(
-                NARROW_GRIDS, ((0, 1), (0, 300), (7, 5000), (0, 70_000), (40_000, 30_000))):
+        for grid, (l, n) in itertools.product(NARROW_GRIDS, self.WINDOWS):
             vals = [log_cum_window(fam, a, l, n) for a in grid]
             assert all(b >= a for a, b in zip(vals, vals[1:])), (grid, l, n)
+
+    @pytest.mark.parametrize("fam", MONOTONE_FAMILIES, ids=family_id)
+    def test_array_windows_nondecreasing_on_narrow_grids(self, fam):
+        # log_cum_windows with a scalar lam per call and with one array lam over
+        # the grid, and log_cum_window_offsets, at offsets l, l + 1 and l + 17;
+        # each row holds one grid point's windows
+        for grid, (l, n) in itertools.product(NARROW_GRIDS, self.WINDOWS):
+            offs = np.array([l, l + 1, l + 17])
+            lens = np.full(3, n)
+            rows = {
+                "scalar lam": [log_cum_windows(fam, a, offs, lens) for a in grid],
+                "array lam": log_cum_windows(
+                    fam, np.repeat(grid, 3), np.tile(offs, len(grid)),
+                    np.full(3 * len(grid), n)).reshape(len(grid), 3),
+                "offsets": [log_cum_window_offsets(fam, a, offs, n) for a in grid],
+            }
+            for form, vals in rows.items():
+                assert (np.diff(vals, axis=0) >= 0.0).all(), (form, grid, l, n)
 
     def test_affine0_stirling_nondecreasing_at_1e12_spacing(self):
         # not monotone one ulp apart: at lam = 0.34135186674448575, l = 0 and
