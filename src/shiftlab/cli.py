@@ -45,15 +45,178 @@ class ConfigError(ValueError):
     pass
 
 
+# ---------------------------------------------------------------------------
+# payload validation
+# ---------------------------------------------------------------------------
+
+
+class _Unsure(Exception):
+    """The compiled pass cannot judge a value exactly: draft-07 decides."""
+
+
+def _uncovered(what) -> jsonschema.SchemaError:
+    """A schema form the compiled pass does not cover: a bug in shiftlab, like
+    a schema that fails its metaschema check."""
+    return jsonschema.SchemaError(f"the compiled pass does not cover {what}")
+
+
+# The types json.load builds.  A value of any other type (a tuple, a numpy
+# scalar, a Decimal, a dict subclass) that the compiled pass reaches raises
+# _Unsure, so draft-07 judges it with its own type rules.
+_JSON_TYPES = frozenset((dict, list, str, int, float, bool, type(None)))
+
+# the JSON types of each draft-07 type name; True is neither an integer nor a
+# number, and an integral float (5.0) is an integer too
+_TYPES = {"object": {dict}, "array": {list}, "string": {str}, "boolean": {bool},
+          "null": {type(None)}, "number": {int, float}, "integer": {int}}
+
+# annotations, and then and else, which act only through if
+_PASSIVE = frozenset(("$schema", "title", "then", "else"))
+
+
+def _never(x):
+    return False
+
+
+def _equals(c):
+    """jsonschema's equality with the JSON scalar c, for a JSON-typed value."""
+    if type(c) is str:
+        return lambda x: x == c
+    if type(c) is bool or c is None:
+        return lambda x: x is c
+    if type(c) in (int, float):
+        return lambda x: type(x) in (int, float) and x == c
+    raise _uncovered(f"const or enum value {c!r}")
+
+
+def _keyword_tests(key, val, schema):
+    """(types, test) of one draft-07 keyword: the test x -> bool judges the
+    values of those JSON types, and the keyword passes every other value."""
+    if key == "type":
+        names = {val} if type(val) is str else set(val)
+        allowed = set().union(*(_TYPES[name] for name in names))
+        tests = {t: _never for t in _JSON_TYPES - allowed}
+        if "integer" in names and float in tests:
+            tests[float] = float.is_integer
+        return [((t,), test) for t, test in tests.items()]
+    if key == "const":
+        return [(_JSON_TYPES, _equals(val))]
+    if key == "enum":
+        tests = [_equals(c) for c in val]
+        return [(_JSON_TYPES, lambda x: any(test(x) for test in tests))]
+    if key == "minimum":
+        return [((int, float), lambda x: not x < val)]
+    if key == "exclusiveMinimum":
+        return [((int, float), lambda x: not x <= val)]
+    if key == "minItems":
+        return [((list,), lambda x: len(x) >= val)]
+    if key == "maxItems":
+        return [((list,), lambda x: len(x) <= val)]
+    if key == "required":
+        keys = frozenset(val)
+        return [((dict,), lambda x: x.keys() >= keys)]
+    if key == "additionalProperties" and val is False:
+        allowed = frozenset(schema.get("properties", ()))
+        return [((dict,), lambda x: x.keys() <= allowed)]
+    if key == "properties":
+        subs = [(k, _compile(sub)) for k, sub in val.items()]
+
+        def properties(x):
+            for k, sub in subs:
+                if k in x and not sub(x[k]):
+                    return False
+            return True
+        return [((dict,), properties)]
+    if key == "items" and isinstance(val, dict):
+        sub = _compile(val)
+
+        def items(x):
+            for v in x:
+                if not sub(v):
+                    return False
+            return True
+        return [((list,), items)]
+    if key == "items" and type(val) is list:
+        subs = [_compile(s) for s in val]
+        return [((list,), lambda x: all(sub(v) for sub, v in zip(subs, x)))]
+    if key == "oneOf":
+        subs = [_compile(s) for s in val]
+        return [(_JSON_TYPES, lambda x: sum(sub(x) for sub in subs) == 1)]
+    if key == "allOf":
+        subs = [_compile(s) for s in val]
+        return [(_JSON_TYPES, lambda x: all(sub(x) for sub in subs))]
+    if key == "if":
+        cond, then, else_ = map(_compile, (val, schema.get("then", {}), schema.get("else", {})))
+        return [(_JSON_TYPES, lambda x: then(x) if cond(x) else else_(x))]
+    raise _uncovered(f"keyword {key!r}")
+
+
+def _compile(schema):
+    """A check x -> bool equal to draft-07's verdict on any value of JSON types.
+
+    The check raises _Unsure where it reaches a value of another type.
+    Compiling raises jsonschema.SchemaError for a keyword or form the pass
+    does not cover.
+    """
+    if not isinstance(schema, dict):
+        raise _uncovered(f"schema {schema!r}")
+    by_type = {t: [] for t in _JSON_TYPES}
+    for key, val in schema.items():
+        if key not in _PASSIVE:
+            for types, test in _keyword_tests(key, val, schema):
+                for t in types:
+                    by_type[t].append(test)
+
+    def check(x):
+        tests = by_type.get(type(x))
+        if tests is None:
+            raise _Unsure(f"value of type {type(x).__name__}")
+        for test in tests:
+            if not test(x):
+                return False
+        return True
+
+    return check
+
+
+class _Schema(dict):
+    """A command's schema, with ``accepts`` its compiled pass."""
+
+    def __init__(self, schema: dict):
+        super().__init__(schema)
+        self._check = _compile(schema)
+
+    def accepts(self, payload) -> bool:
+        """True only if draft-07 accepts the payload; False leaves it to draft-07."""
+        try:
+            return self._check(payload)
+        except _Unsure:
+            return False
+
+
 # Draft-07 validation without the metaschema check that jsonschema.validate
 # makes on every call: _schema_for makes it once per command instead.
 _Draft7Checked = jsonschema.validators.extend(jsonschema.Draft7Validator)
 _Draft7Checked.check_schema = classmethod(lambda cls, schema: None)
 
 
+def _iter_errors_compiled(self, instance):
+    """No error for a payload the schema's compiled pass accepts; draft-07's
+    errors, and so jsonschema's best_match message, for every other one."""
+    if self.schema.accepts(instance):
+        return iter(())
+    return _Draft7Checked(self.schema).iter_errors(instance)
+
+
+# _Draft7Checked that tries the compiled pass first
+_Draft7Compiled = jsonschema.validators.extend(_Draft7Checked)
+_Draft7Compiled.check_schema = _Draft7Checked.check_schema
+_Draft7Compiled.iter_errors = _iter_errors_compiled
+
+
 @functools.cache
-def _schema_for(command: str) -> dict:
-    """The command's schema, checked against draft-07 on the first call.
+def _schema_for(command: str) -> _Schema:
+    """The command's schema, checked against draft-07 and compiled on the first call.
 
     Every call returns the same dict: read it, do not change it.
     """
@@ -61,21 +224,35 @@ def _schema_for(command: str) -> dict:
     ref = resources.files("shiftlab.schemas").joinpath(name)
     schema = json.loads(ref.read_text())
     jsonschema.Draft7Validator.check_schema(schema)
-    return schema
+    return _Schema(schema)
 
 
-def _reject_non_finite(obj, path=("payload",)):
+def _non_finite(obj):
+    """The first NaN or infinity under a dict or list, with the keys down to
+    it innermost first, or None; the keys are gathered only on the way back."""
+    for key, val in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        if isinstance(val, float):
+            if not math.isfinite(val):
+                return val, [key]
+        elif isinstance(val, (dict, list)):
+            found = _non_finite(val)
+            if found:
+                found[1].append(key)
+                return found
+    return None
+
+
+def _reject_non_finite(payload):
     """Reject NaN and infinities: Python's json reads them and the schemas let them pass."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise ConfigError(f"non-finite number {obj} at {'/'.join(map(str, path))}")
-    if isinstance(obj, (dict, list)):
-        for key, val in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
-            _reject_non_finite(val, path + (key,))
+    found = _non_finite({"payload": payload})  # so that the path starts at payload
+    if found:
+        val, keys = found
+        raise ConfigError(f"non-finite number {val} at {'/'.join(map(str, reversed(keys)))}")
 
 
 def _validate_payload(command: str, payload: dict):
     try:
-        jsonschema.validate(payload, _schema_for(command), cls=_Draft7Checked)
+        jsonschema.validate(payload, _schema_for(command), cls=_Draft7Compiled)
     except jsonschema.ValidationError as e:
         raise ConfigError(f"payload rejected by schema for {command}: {e.message}") from e
 
@@ -365,9 +542,8 @@ def run(job: dict) -> int:
         _reject_non_finite(payload)
         _validate_payload(command, payload)
         passed, report, csv_data = _HANDLERS[command](payload)
-    except (ConfigError, ValueError, KeyError, TypeError, OverflowError,
-            CoveringInfeasibleError, witmod.BruteForceBudgetError,
-            json.JSONDecodeError) as e:
+    except (ConfigError, ValueError, OverflowError, CoveringInfeasibleError,
+            witmod.BruteForceBudgetError) as e:
         print(f"shiftlab: config error: {e}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,6 @@
 """Tests for the batch CLI: exit codes, determinism, schemas, orbit probe."""
 
+import collections
 import csv
 import functools
 import io
@@ -983,3 +984,203 @@ class TestSchemaCheckedOncePerProcess:
         for _ in range(3):
             with pytest.raises(jsonschema.SchemaError):
                 run({"command": "orbit-probe", "payload": payload})
+
+
+def _perfbench_payloads():
+    """(command, payload) of every benchmark job at seeds 0-3."""
+    root = str(EXAMPLES.parent.parent)
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench.worker import build_jobs
+    return [(job["command"], job["payload"])
+            for workload in ("examples", "carac", "checkers") for seed in range(4)
+            for job in build_jobs(workload, seed)]
+
+
+# the values each single-leaf mutation sets, JSON-typed, bool and int apart
+LEAF_VALUES = (0, 1, -1, 0.5, 1.0, 2.0, True, False, None, "x", [], {})
+DROP = object()  # a mutation that deletes the key
+
+
+def _mutants(payload, seen):
+    """Each single-leaf mutation, key deletion and added unknown key of a
+    payload at a schema position not in ``seen``, which the position then
+    joins: a position is the path with # for each list index, so a covering
+    of 256 cells is mutated in its first cell only."""
+    for path, node in _json_nodes(payload):
+        position = tuple("#" if isinstance(k, int) else k for k in path)
+        if position in seen:
+            continue
+        seen.add(position)
+        if path:
+            for value in LEAF_VALUES:
+                yield with_leaf(payload, path, value)
+        if isinstance(node, dict):
+            for key in node:
+                yield _apply(payload, [("drop", path + (key,))])
+            yield with_leaf(payload, path + ("unknown_key",), 1)
+
+
+def cli_schema(command):
+    from shiftlab.cli import _schema_for
+    return _schema_for(command)
+
+
+class TestCompiledPass:
+    # the compiled pass may accept only what draft-07 accepts, and on values
+    # of JSON types it must give draft-07's verdict exactly
+
+    @staticmethod
+    def agree(command, payloads):
+        schema = _schema_file(command)
+        draft7 = jsonschema.Draft7Validator(schema)
+        accepts = cli_schema(command).accepts
+        verdicts = set()
+        for payload in payloads:
+            verdict = accepts(payload)
+            assert verdict == draft7.is_valid(payload), (command, payload)
+            verdicts.add(verdict)
+        return verdicts
+
+    def test_every_shipped_schema_compiles(self):
+        from shiftlab.cli import COMMANDS, _compile
+        for command in COMMANDS:
+            _compile(_schema_file(command))  # raises SchemaError at a keyword it does not cover
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_COMMANDS))
+    def test_agrees_with_draft7_on_example_mutations(self, name):
+        payload = json.loads((EXAMPLES / f"{name}.json").read_text())
+        mutants = list(_mutants(payload, set()))
+        assert self.agree(EXAMPLE_COMMANDS[name], [payload] + mutants) == {True, False}
+
+    def test_agrees_with_draft7_on_benchmark_payloads(self):
+        # every payload whole, then the mutations at each schema position that
+        # no earlier payload of the same command has mutated
+        seen = collections.defaultdict(set)
+        for command, payload in _perfbench_payloads():
+            assert self.agree(command, [payload]) == {True}
+            self.agree(command, _mutants(payload, seen[command]))
+
+    def test_agrees_with_draft7_on_random_multi_leaf_mutations(self):
+        rng = random.Random(20)
+        for name, command in sorted(EXAMPLE_COMMANDS.items()):
+            payload = json.loads((EXAMPLES / f"{name}.json").read_text())
+            paths = [p for p, _ in _json_nodes(payload) if p]
+            mutants = []
+            for _ in range(40):
+                mutant = payload
+                for path in rng.sample(paths, 3):
+                    try:
+                        mutant = with_leaf(mutant, path, rng.choice(LEAF_VALUES))
+                    except (KeyError, IndexError, TypeError):
+                        pass  # an earlier mutation removed the path
+                mutants.append(mutant)
+            self.agree(command, mutants)
+
+    def test_integral_float_is_an_integer(self, capsys):
+        payload = json.loads((EXAMPLES / "criterion_check.json").read_text())
+        payload["covering"]["cells"][0]["n"] = 5.0
+        assert cli_schema("criterion-check").accepts(payload)
+        assert run({"command": "criterion-check", "payload": payload}) in (0, 1)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("name,path,value", [
+        ("graded_cover_build", ("K",), ((1.0, 1.02), (1.0, 1.02))),
+        ("corollary_check", ("variant",), True),
+        ("corollary_check", ("variant",), 1),
+        ("corollary_check", ("constants", "gamma"), DROP),
+        ("criterion_check", ("covering", "params"), {"kind": "graded", "alpha": 0.3}),
+        ("witness_eval", ("config", "cov_override", "params"), {"kind": "log", "box": 0}),
+        ("carac_check", ("schedule", 0, 1, 0), None),
+    ], ids=["tuple_box", "variant_true", "variant_1_without_D3", "variant_2_without_gamma",
+            "covering_params_short", "cov_override_box_zero", "schedule_coordinate_null"])
+    def test_rejection_keeps_draft7_message(self, name, path, value, capsys):
+        # a tuple is no JSON array and True is not 1; a covering's params, the
+        # schedule entries and the constant each corollary variant reads are
+        # checked by the schema, so none of them reaches a handler
+        command = EXAMPLE_COMMANDS[name]
+        payload = json.loads((EXAMPLES / f"{name}.json").read_text())
+        if value is DROP:
+            payload = _apply(payload, [("drop", path)])
+        else:
+            payload = with_leaf(payload, path, value)
+        assert not cli_schema(command).accepts(payload)
+        with pytest.raises(jsonschema.ValidationError) as plain:
+            jsonschema.validate(payload, _schema_file(command))
+        assert run({"command": command, "payload": payload}) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("shiftlab: config error: payload rejected by schema for "
+                           f"{command}: {plain.value.message}\n")
+
+    def test_uncovered_keyword_is_a_schema_error(self):
+        # like a metaschema failure, a keyword the pass does not cover is a
+        # bug in shiftlab: it raises, and no payload is judged without the pass
+        from shiftlab import cli
+        with pytest.raises(jsonschema.SchemaError, match="keyword 'pattern'"):
+            cli._compile({"properties": {"name": {"pattern": "^a"}}})
+
+    @staticmethod
+    def without_params(covering):
+        # a hand-built covering of the same cells: it serializes with
+        # "kind": "custom" and "params": null
+        from shiftlab.covering import Covering
+        custom = Covering(Covering.from_json_dict(covering).cells).to_json_dict()
+        assert custom["kind"] == "custom" and custom["params"] is None
+        return custom
+
+    def test_criterion_check_takes_a_covering_without_params(self, capsys):
+        payload = json.loads((EXAMPLES / "criterion_check.json").read_text())
+        assert run({"command": "criterion-check", "payload": payload}) == 0
+        report = json.loads(capsys.readouterr().out)
+        payload["covering"] = self.without_params(payload["covering"])
+        assert cli_schema("criterion-check").accepts(payload)
+        assert run({"command": "criterion-check", "payload": payload}) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert json.loads(out.out)["conditions"] == report["conditions"]
+
+    def test_cover_verify_takes_a_covering_without_params(self, capsys):
+        # with no params in the covering, the payload's graded params apply
+        build = json.loads((EXAMPLES / "graded_cover_build.json").read_text())
+        assert run({"command": "cover-build", "payload": build}) == 0
+        covering = json.loads(capsys.readouterr().out)
+        del covering["meta"]
+        payload = {"covering": covering, "K": build["K"], "params": build["params"]}
+        assert run({"command": "cover-verify", "payload": payload}) == 0
+        report = capsys.readouterr().out
+        payload["covering"] = self.without_params(covering)
+        assert cli_schema("cover-verify").accepts(payload)
+        assert run({"command": "cover-verify", "payload": payload}) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out == report
+
+    def test_numpy_scalar_goes_to_draft7(self, capsys):
+        import numpy as np
+        payload = json.loads((EXAMPLES / "orbit_probe.json").read_text())
+        expected = run({"command": "orbit-probe", "payload": payload})
+        report = capsys.readouterr().out
+        index, coeff = payload["x"][0]["entries"][0]
+        payload["x"][0]["entries"][0] = [index, np.float64(coeff)]
+        assert not cli_schema("orbit-probe").accepts(payload)
+        assert jsonschema.Draft7Validator(_schema_file("orbit-probe")).is_valid(payload)
+        assert run({"command": "orbit-probe", "payload": payload}) == expected
+        assert capsys.readouterr().out == report
+
+
+class TestInternalErrorsRaise:
+    @pytest.mark.parametrize("error", [KeyError, TypeError])
+    def test_handler_error_is_not_a_config_error(self, error, monkeypatch, capsys):
+        # exit 2 means a user's config error; a handler that raises KeyError
+        # or TypeError on a payload its schema accepted has a bug
+        from shiftlab import cli
+
+        def broken(payload):
+            raise error("internal")
+
+        monkeypatch.setitem(cli._HANDLERS, "orbit-probe", broken)
+        payload = json.loads((EXAMPLES / "orbit_probe.json").read_text())
+        with pytest.raises(error):
+            run({"command": "orbit-probe", "payload": payload})
+        assert capsys.readouterr().err == ""
