@@ -1,8 +1,9 @@
 """Batch front-end: job configs in, JSON/CSV reports out.
 
 Subcommands map one-to-one onto the library checkers plus an orbit probe.
-Every payload is scanned for NaN and infinities, then validated against its
-JSON schema (shipped under ``shiftlab/schemas``), before any computation.
+Every payload is validated against its JSON schema (shipped under
+``shiftlab/schemas``) before any computation, in one pass that also rejects
+NaN and infinities; a non-finite number is reported before any schema error.
 Exit codes: 0 all checks passed, 1 a check failed (the report is still
 written), 2 usage or configuration error, including a non-finite number or
 an output path that cannot be opened (nothing is written).
@@ -151,16 +152,58 @@ def _keyword_tests(key, val, schema):
     raise _uncovered(f"keyword {key!r}")
 
 
-def _compile(schema):
-    """A check x -> bool equal to draft-07's verdict on any value of JSON types.
+def _non_finite(obj):
+    """The first NaN or infinity under a dict or list, with the keys down to
+    it innermost first, or None; the keys are gathered only on the way back."""
+    for key, val in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        if isinstance(val, float):
+            if not math.isfinite(val):
+                return val, [key]
+        elif isinstance(val, (dict, list)):
+            found = _non_finite(val)
+            if found:
+                found[1].append(key)
+                return found
+    return None
 
-    The check raises _Unsure where it reaches a value of another type.
-    Compiling raises jsonschema.SchemaError for a keyword or form the pass
-    does not cover.
+
+def _reject_non_finite(payload):
+    """Reject NaN and infinities: Python's json reads them and the schemas let them pass."""
+    found = _non_finite({"payload": payload})  # so that the path starts at payload
+    if found:
+        val, keys = found
+        raise ConfigError(f"non-finite number {val} at {'/'.join(map(str, reversed(keys)))}")
+
+
+def _finite(x) -> bool:
+    """No NaN or infinity in x or anywhere under it."""
+    if isinstance(x, float):
+        return math.isfinite(x)
+    return not isinstance(x, (dict, list)) or _non_finite(x) is None
+
+
+def _compile(schema):
+    """A check x -> bool equal to draft-07's verdict on any value of JSON types
+    free of NaN and infinities, and False on any other JSON value.
+
+    A float must be finite, and the values a dict or list holds where no
+    ``properties`` or ``items`` of this schema reaches are scanned, so every
+    number under x meets a finiteness test.  The check raises _Unsure where
+    it reaches a value of a type json.load does not build.  Compiling raises
+    jsonschema.SchemaError for a keyword or form the pass does not cover.
     """
     if not isinstance(schema, dict):
         raise _uncovered(f"schema {schema!r}")
     by_type = {t: [] for t in _JSON_TYPES}
+    by_type[float].append(math.isfinite)
+    if schema.get("additionalProperties") is not False:  # else every key is named
+        named = frozenset(schema.get("properties", ()))
+        by_type[dict].append(lambda x: x.keys() <= named
+                             or all(_finite(v) for k, v in x.items() if k not in named))
+    items = schema.get("items")
+    if not isinstance(items, dict):
+        start = len(items) if type(items) is list else 0
+        by_type[list].append(lambda x: len(x) <= start or all(map(_finite, x[start:])))
     for key, val in schema.items():
         if key not in _PASSIVE:
             for types, test in _keyword_tests(key, val, schema):
@@ -187,7 +230,8 @@ class _Schema(dict):
         self._check = _compile(schema)
 
     def accepts(self, payload) -> bool:
-        """True only if draft-07 accepts the payload; False leaves it to draft-07."""
+        """True only if draft-07 accepts the payload and it holds no NaN or
+        infinity; False leaves it to _reject_non_finite and draft-07."""
         try:
             return self._check(payload)
         except _Unsure:
@@ -201,10 +245,13 @@ _Draft7Checked.check_schema = classmethod(lambda cls, schema: None)
 
 
 def _iter_errors_compiled(self, instance):
-    """No error for a payload the schema's compiled pass accepts; draft-07's
-    errors, and so jsonschema's best_match message, for every other one."""
+    """No error for a payload the schema's compiled pass accepts.  Any other
+    payload exits 2 on its first NaN or infinity, before any schema message,
+    and otherwise gets draft-07's errors, and so jsonschema's best_match
+    message."""
     if self.schema.accepts(instance):
         return iter(())
+    _reject_non_finite(instance)
     return _Draft7Checked(self.schema).iter_errors(instance)
 
 
@@ -225,29 +272,6 @@ def _schema_for(command: str) -> _Schema:
     schema = json.loads(ref.read_text())
     jsonschema.Draft7Validator.check_schema(schema)
     return _Schema(schema)
-
-
-def _non_finite(obj):
-    """The first NaN or infinity under a dict or list, with the keys down to
-    it innermost first, or None; the keys are gathered only on the way back."""
-    for key, val in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
-        if isinstance(val, float):
-            if not math.isfinite(val):
-                return val, [key]
-        elif isinstance(val, (dict, list)):
-            found = _non_finite(val)
-            if found:
-                found[1].append(key)
-                return found
-    return None
-
-
-def _reject_non_finite(payload):
-    """Reject NaN and infinities: Python's json reads them and the schemas let them pass."""
-    found = _non_finite({"payload": payload})  # so that the path starts at payload
-    if found:
-        val, keys = found
-        raise ConfigError(f"non-finite number {val} at {'/'.join(map(str, reversed(keys)))}")
 
 
 def _validate_payload(command: str, payload: dict):
@@ -539,7 +563,6 @@ def run(job: dict) -> int:
         if fmt not in ("json", "csv"):
             raise ConfigError(f"unknown output format {fmt!r}")
         seed = int(job.get("seed", 0))
-        _reject_non_finite(payload)
         _validate_payload(command, payload)
         passed, report, csv_data = _HANDLERS[command](payload)
     except (ConfigError, ValueError, OverflowError, CoveringInfeasibleError,

@@ -58,6 +58,9 @@ I0_POINTS = 9  # default size of an I0 grid
 # more).  The benchmark's q = 256 job peaks at 1.3 MiB under tracemalloc with
 # 2**13, 2.4 MiB with 2**14 and 9.5 MiB with all its cells in one block.
 _BLOCK = 1 << 13
+# criterion-check evaluates II.b at every sample point of each cell whose
+# upper-corner value is at least (1 - _CORNER_SLACK) times the largest one
+_CORNER_SLACK = 1e-4
 
 
 def _canonical(c: np.ndarray) -> np.ndarray:
@@ -164,7 +167,7 @@ def check_basic_criterion(
 
     roots = [cw_root(vec, m_lo) for vec in v]
     ms = range(m_lo, m_hi + 1)
-    cells = cov.cells
+    cells, powers = cov.cells, cov.powers
 
     # Flat per-axis arrays over the (cell j, support index l) pairs, j-major:
     # l, n_j, the target at l and the powers A**m of the forward coefficients
@@ -176,7 +179,7 @@ def check_basic_criterion(
     for ax, root in enumerate(roots):
         supp = np.asarray(root.support(), dtype=np.int64)
         anchors = _require_admissible_array(fams[ax], [c.anchor[ax] for c in cells])
-        ls, ns = np.tile(supp, cov.q), np.repeat(cov.powers, len(supp))
+        ls, ns = np.tile(supp, cov.q), np.repeat(powers, len(supp))
         coeffs = np.tile([root.coeff(int(l)) for l in supp], cov.q)
         A = coeffs * np.exp(-log_cum_windows(fams[ax], np.repeat(anchors, len(supp)), ls, ns)
                             / m_lo)
@@ -221,9 +224,13 @@ def check_basic_criterion(
         i, ax, k = np.unravel_index(int(np.argmax(bad)), bad.shape)
         _require_admissible(fams[ax], lams[i, ax, k])
 
-    def tables(i0: int, nb: int):
-        """II.b and III/IV display values of cells i0..i0+nb-1, shaped (nb, s, ..., s, M)."""
-        n_blk = np.asarray(cov.powers[i0:i0 + nb])
+    def tables(i0: int, nb: int, corner: bool = False):
+        """II.b and III/IV display values of cells i0..i0+nb-1, shaped (nb, s, ..., s, M).
+
+        With ``corner``, II.b is evaluated at the upper corner only (sample
+        s - 1 on every axis) and shaped (nb, M); III/IV keep every sample.
+        """
+        n_blk = np.asarray(powers[i0:i0 + nb])
         # Per axis, (nb, s, M) tables of the II.b norm (rows j != i) and the
         # III/IV norm (row j = i), where B^{n_i} moves (j, l) to l + n_j - n_i.
         # Adding them in axis order gives each grid point 0.0 + t_0 + ... + t_{d-1}.
@@ -238,46 +245,72 @@ def check_basic_criterion(
             head_at = np.searchsorted(cell[own], np.arange(nb + 1))
             Am = [x[pair] for x in Am]
             target = target[pair[own]]
+            lam = lams[i0:i0 + nb, ax][cell]
             table = np.empty((2, nb, s, M))  # (II.b, III or IV) per cell, sample and power
-            for k in range(s):
-                w = log_cum_windows(fam, lams[i0:i0 + nb, ax, k][cell], offs, n_blk[cell])
+            # the corner first: its call takes every entry, so it raises what
+            # an every-entry call at any other sample would
+            for k in reversed(range(s)):
+                full = k == s - 1 or not corner
+                at = slice(None) if full else own
+                w = log_cum_windows(fam, lam[at, k], offs[at], n_blk[cell[at]])
                 try:
                     e = np.fromiter(map(math.exp, w.tolist()), np.float64, len(w))
                 except OverflowError:
                     raise ValueError("non-finite coefficient in a criterion display") from None
                 for mi, pw in enumerate(Am):
-                    c = pw * e
-                    # bincount adds each (cell, offset) bin in (j, l) order
-                    c_tail = _canonical(np.bincount(bins, c[~own], len(bin_cells)))
-                    table[0, :, k, mi] = _segment_norms(c_tail, tail_at, space_norm)
-                    c = _canonical(c[own])
+                    c = pw[at] * e
+                    if full:
+                        # bincount adds each (cell, offset) bin in (j, l) order
+                        c_tail = _canonical(np.bincount(bins, c[~own], len(bin_cells)))
+                        table[0, :, k, mi] = _segment_norms(c_tail, tail_at, space_norm)
+                        c = c[own]
+                    c = _canonical(c)
                     if mi == 0:
                         c = _canonical(c - target)
                     table[1, :, k, mi] = _segment_norms(c, head_at, space_norm)
             shape = (nb,) + (1,) * ax + (s, M)
-            tail = tail[..., None, :] + table[0].reshape(shape)
+            if corner:
+                tail = tail + table[0, :, s - 1]
+            else:
+                tail = tail[..., None, :] + table[0].reshape(shape)
             head = head[..., None, :] + table[1].reshape(shape)
         return tail, head
 
-    per_block = max(1, _BLOCK // max(s**d * M, *(len(f[0]) for f in flat)))
     worst = {name: CheckResult(True, 0.0, eps, evaluations=0) for name in ("II.b", "III", "IV")}
+
+    def record(name: str, vals: np.ndarray, i0: int, pows):
+        """Take the first maximum of vals, shaped (cells from i0, s, ..., s, powers)."""
+        # the first maximum in C order is the first in (cell, sample point, m)
+        # order; strict > across calls keeps the earliest cell
+        cur = worst[name]
+        val = float(vals.max(initial=0.0))
+        if val > cur.achieved:
+            b, *idx, mi = np.unravel_index(int(np.argmax(vals)), vals.shape)
+            cur.achieved, cur.passed = val, val <= eps
+            cur.witness = {"cell": i0 + int(b), "lambda": lams[i0 + b, range(d), idx].tolist()}
+            if name != "IV":
+                cur.witness["m"] = pows[mi]
+
+    # II.b is nondecreasing in each lambda, so a cell's largest value is at
+    # its upper corner: the blocks evaluate II.b there only, and every cell
+    # whose corner value is within _CORNER_SLACK of the best corner value is
+    # evaluated again at every sample point.  That finds the first maximum
+    # where lower samples tie the corner (a zero-width box side) and where
+    # rounding breaks the order by a few ulp.
+    per_block = max(1, _BLOCK // max(s**d * M, *(len(f[0]) for f in flat)))
+    corners = np.empty((cov.q, M))
     for i0 in range(0, cov.q, per_block):
         nb = min(per_block, cov.q - i0)
-        tail, head = tables(i0, nb)
-        # the first maximum in C order is the first in (cell, sample point, m)
-        # order; strict > across blocks keeps the earliest cell
-        for name, vals, pows in (("II.b", tail, ms), ("IV", head[..., :1], ms[:1]),
-                                 ("III", head[..., 1:], ms[1:])):
-            cur = worst[name]
-            cur.evaluations += vals.size
-            val = float(vals.max(initial=0.0))
-            if val > cur.achieved:
-                b, *idx, mi = np.unravel_index(int(np.argmax(vals)), vals.shape)
-                cur.achieved, cur.passed = val, val <= eps
-                cur.witness = {"cell": i0 + int(b),
-                               "lambda": lams[i0 + b, range(d), idx].tolist()}
-                if name != "IV":
-                    cur.witness["m"] = pows[mi]
+        corners[i0:i0 + nb], head = tables(i0, nb, corner=True)
+        worst["II.b"].evaluations += nb * s**d * M
+        for name, vals, pows in (("IV", head[..., :1], ms[:1]), ("III", head[..., 1:], ms[1:])):
+            worst[name].evaluations += vals.size
+            record(name, vals, i0, pows)
+    best = corners.max(axis=1)
+    top = float(best.max(initial=0.0))
+    if top > 0.0:  # else every corner value is 0.0, and so every II.b value
+        for i in np.flatnonzero(best >= top * (1.0 - _CORNER_SLACK)).tolist():
+            record("II.b", tables(i, 1)[0], i, ms)
 
     if m_hi == m_lo:
         worst["III"].note = "vacuous: the power range (m_lo, m_hi] is empty"

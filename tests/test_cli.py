@@ -263,10 +263,41 @@ class TestExitCodeContract:
                        "payload": with_leaf(payload, path, value),
                        "output": {"format": "json", "path": str(tmp_path / "mutant.json")}}
                 assert run(job) == 2, (path, value)
-                err = capsys.readouterr().err.splitlines()
-                assert len(err) == 1 and err[0].startswith(
-                    "shiftlab: config error: non-finite number"), (path, value, err)
+                assert capsys.readouterr().err.splitlines() == [
+                    f"shiftlab: config error: non-finite number {value} at "
+                    f"payload/{'/'.join(map(str, path))}"], (path, value)
         assert not (tmp_path / "mutant.json").exists()
+
+    # (edit of the criterion example, path of a number the edit adds, whether
+    # the edited payload is valid)
+    UNVISITED = {
+        "top-level-key": (lambda p: p.update(extra={"deep": [1.0, 0.0]}), ("extra", "deep", 1), True),
+        "params-key": (lambda p: p["covering"]["params"].update(extra=0.0),
+                       ("covering", "params", "extra"), True),
+        "cell-key": (lambda p: p["covering"]["cells"][2].update(extra=[0.0]),
+                     ("covering", "cells", 2, "extra", 0), True),
+        "tuple-tail": (lambda p: p["v"][0]["entries"][0].append(0.0),
+                       ("v", 0, "entries", 0, 2), False),  # past maxItems 2
+        "eps-and-schema-error": (lambda p: p["covering"]["cells"][3].update(n=0), ("eps",), False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNVISITED))
+    def test_non_finite_number_no_subschema_reaches_exits_two(self, case, capsys):
+        # no subschema visits the number at the first four paths, and the
+        # last payload fails the schema elsewhere; each non-finite number is
+        # reported before any schema message
+        edit, path, valid = self.UNVISITED[case]
+        payload = json.loads((EXAMPLES / "criterion_check.json").read_text())
+        edit(payload)
+        assert (run({"command": "criterion-check", "payload": payload}) == 0) == valid
+        capsys.readouterr()
+        for value in (math.nan, math.inf, -math.inf):
+            job = {"command": "criterion-check", "payload": with_leaf(payload, path, value)}
+            assert run(job) == 2, (path, value)
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.splitlines() == [f"shiftlab: config error: non-finite number {value} "
+                                        f"at payload/{'/'.join(map(str, path))}"], (path, value)
 
     @pytest.mark.parametrize("n_1,profile", [
         (0, {"kind": "power", "D1": 1.0, "alpha": 0.5}),

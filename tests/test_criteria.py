@@ -209,8 +209,10 @@ class TestBasicCriterionOracle:
         assert rep.conditions["III"].evaluations == q * samples**d * (m_hi - m_lo)
         # d anchor windows, then one per block of cells, axis and sampled value
         # of that axis: the 4 cells fit one block, and the s**d grid points
-        # share the windows
-        assert len(calls) == d + d * samples
+        # share the windows.  Then d * samples more for the one cell whose
+        # II.b value at its upper corner is the largest, evaluated again at
+        # every sample point: no other cell's is within _CORNER_SLACK of it.
+        assert len(calls) == d + d * samples + d * samples
 
     @pytest.mark.parametrize("cells_per_block", [4, 2, 1])
     @pytest.mark.parametrize("space_norm,samples,d,m_lo,m_hi", [
@@ -230,7 +232,34 @@ class TestBasicCriterionOracle:
         monkeypatch.setattr(criteria, "log_cum_windows",
                             lambda *a: calls.append(a) or windows(*a))
         assert json.dumps(check_basic_criterion(*args).to_json_dict()) == want
-        assert len(calls) == d + d * samples * (cov.q // cells_per_block)
+        # d anchor windows, d * samples per block and d * samples for the one
+        # cell whose II.b corner value is evaluated again at every sample point
+        assert len(calls) == d + d * samples * (cov.q // cells_per_block) + d * samples
+
+    @pytest.mark.parametrize("space_norm", [L1, SUP, SpaceNorm.lp(2)], ids=["l1", "sup", "lp2"])
+    @pytest.mark.parametrize("flat_axis", ["zero-width", "underflow"])
+    def test_samples_that_tie_the_corner_give_the_first_sample(self, flat_axis, space_norm):
+        # II.b does not move along axis 1, so every sample there ties the
+        # upper corner and the witness is the first one, as in the oracle.
+        # zero-width: axis 1's box is a point.  underflow: every axis-1 forward
+        # coefficient 2**-n is 0.0 at n >= 1103, so axis 1 adds 0.0 at the
+        # distinct sampled lambdas 1.7, 1.75 and 1.8, where 1.8**1106 is a double.
+        fams, cov, v = self.instance(2)
+        if flat_axis == "zero-width":
+            cells = [Cell(c.n, c.anchor, (c.box[0], (c.anchor[1],) * 2)) for c in cov.cells]
+        else:
+            fams = (fams[0], GEO)
+            cells = [Cell(c.n + 1100, (c.anchor[0], 2.0), (c.box[0], (1.7, 1.8)))
+                     for c in cov.cells]
+        cov = Covering(tuple(cells))
+        rep = check_basic_criterion(fams, cov, v, 1, 2, eps=0.1, samples_per_axis=3,
+                                    space_norm=space_norm)
+        oracle = basic_criterion_oracle(fams, cov, v, 1, 2, 3, space_norm)
+        for name, (achieved, witness) in oracle.items():
+            assert rep.conditions[name].achieved == pytest.approx(achieved, rel=1e-12), name
+            assert rep.conditions[name].witness == witness, name
+        witness = rep.conditions["II.b"].witness
+        assert witness["lambda"][1] == cov.cells[witness["cell"]].box[1][0]
 
     def test_benchmark_sized_check_memory_is_blocked(self):
         # the q = 256 log covering of the benchmark's criterion job: 16 x 16

@@ -69,6 +69,33 @@ def test_criterion_check_d3_report_bytes(tmp_path):
     assert got == (GOLDEN / "criterion_check_d3.json").read_bytes()
 
 
+def criterion_blocks(norm: str) -> dict:
+    """400 cells tiling [1.2, 1.3]^2, 20 x 20, with powers 100**2 + 100 * (j + 1).
+
+    With 4 samples per axis and 2 supported indices per axis, a block holds
+    2**13 // 800 = 10 cells, so the check runs in 40 blocks.  The II.b
+    witness is cell 19 in l1 and cell 39 in sup, past the first block.
+    """
+    g, side = 20, 0.1 / 20
+    cells = [{"n": 10_000 + 100 * (j + 1),
+              "anchor": [1.2 + (r + 0.5) * side, 1.2 + (c + 0.5) * side],
+              "box": [[1.2 + r * side, 1.2 + (r + 1) * side],
+                      [1.2 + c * side, 1.2 + (c + 1) * side]]}
+             for j, (r, c) in enumerate((r, c) for r in range(g) for c in range(g))]
+    return {"families": [{"variant": "affine", "alpha": 0.0}, {"variant": "pure_power"}],
+            "covering": {"cells": cells},
+            "v": [{"entries": [[0, 1.0], [1, 0.5]]}, {"entries": [[0, 0.9], [2, 0.4]]}],
+            "m_lo": 1, "m_hi": 2, "eps": 0.2, "samples_per_axis": 4, "norm": norm}
+
+
+@pytest.mark.parametrize("norm", ["l1", "sup"])
+def test_criterion_check_in_blocks_report_bytes(norm, tmp_path):
+    got = report_bytes(tmp_path, "criterion-check", criterion_blocks(norm))
+    assert got == (GOLDEN / f"criterion_check_blocks_{norm}.json").read_bytes()
+    witness = json.loads(got)["conditions"]["II.b"]["witness"]
+    assert witness["cell"] == {"l1": 19, "sup": 39}[norm]
+
+
 # the paper's own family, affine(alpha = 0) on both axes, through the witness
 # path: the docs/examples/witness_sweep.json config at three small bases
 WITNESS_SWEEP_AFFINE0 = {
