@@ -71,8 +71,9 @@ _JSON_TYPES = frozenset((dict, list, str, int, float, bool, type(None)))
 _TYPES = {"object": {dict}, "array": {list}, "string": {str}, "boolean": {bool},
           "null": {type(None)}, "number": {int, float}, "integer": {int}}
 
-# annotations, and then and else, which act only through if
-_PASSIVE = frozenset(("$schema", "title", "then", "else"))
+# annotations, definitions, which act only through $ref, and then and else,
+# which act only through if
+_PASSIVE = frozenset(("$schema", "title", "definitions", "then", "else"))
 
 
 def _never(x):
@@ -90,9 +91,10 @@ def _equals(c):
     raise _uncovered(f"const or enum value {c!r}")
 
 
-def _keyword_tests(key, val, schema):
+def _keyword_tests(key, val, schema, defs):
     """(types, test) of one draft-07 keyword: the test x -> bool judges the
-    values of those JSON types, and the keyword passes every other value."""
+    values of those JSON types, and the keyword passes every other value.
+    ``defs`` are the definitions a ``$ref`` under val may name."""
     if key == "type":
         names = {val} if type(val) is str else set(val)
         allowed = set().union(*(_TYPES[name] for name in names))
@@ -120,7 +122,7 @@ def _keyword_tests(key, val, schema):
         allowed = frozenset(schema.get("properties", ()))
         return [((dict,), lambda x: x.keys() <= allowed)]
     if key == "properties":
-        subs = [(k, _compile(sub)) for k, sub in val.items()]
+        subs = [(k, _compile(sub, defs)) for k, sub in val.items()]
 
         def properties(x):
             for k, sub in subs:
@@ -129,7 +131,7 @@ def _keyword_tests(key, val, schema):
             return True
         return [((dict,), properties)]
     if key == "items" and isinstance(val, dict):
-        sub = _compile(val)
+        sub = _compile(val, defs)
 
         def items(x):
             for v in x:
@@ -138,16 +140,16 @@ def _keyword_tests(key, val, schema):
             return True
         return [((list,), items)]
     if key == "items" and type(val) is list:
-        subs = [_compile(s) for s in val]
+        subs = [_compile(s, defs) for s in val]
         return [((list,), lambda x: all(sub(v) for sub, v in zip(subs, x)))]
     if key == "oneOf":
-        subs = [_compile(s) for s in val]
+        subs = [_compile(s, defs) for s in val]
         return [(_JSON_TYPES, lambda x: sum(sub(x) for sub in subs) == 1)]
     if key == "allOf":
-        subs = [_compile(s) for s in val]
+        subs = [_compile(s, defs) for s in val]
         return [(_JSON_TYPES, lambda x: all(sub(x) for sub in subs))]
     if key == "if":
-        cond, then, else_ = map(_compile, (val, schema.get("then", {}), schema.get("else", {})))
+        cond, then, else_ = (_compile(schema.get(k, {}), defs) for k in ("if", "then", "else"))
         return [(_JSON_TYPES, lambda x: then(x) if cond(x) else else_(x))]
     raise _uncovered(f"keyword {key!r}")
 
@@ -182,7 +184,7 @@ def _finite(x) -> bool:
     return not isinstance(x, (dict, list)) or _non_finite(x) is None
 
 
-def _compile(schema):
+def _compile(schema, defs=None):
     """A check x -> bool equal to draft-07's verdict on any value of JSON types
     free of NaN and infinities, and False on any other JSON value.
 
@@ -191,9 +193,21 @@ def _compile(schema):
     number under x meets a finiteness test.  The check raises _Unsure where
     it reaches a value of a type json.load does not build.  Compiling raises
     jsonschema.SchemaError for a keyword or form the pass does not cover.
+
+    ``defs`` defaults to the schema's own ``definitions``.  The one ``$ref``
+    covered is ``{"$ref": "#/definitions/<name>"}`` with no sibling keyword,
+    and it compiles to the check of that definition, as if written in place.
     """
     if not isinstance(schema, dict):
         raise _uncovered(f"schema {schema!r}")
+    if defs is None:
+        defs = schema.get("definitions", {})
+    if "$ref" in schema:
+        ref = schema["$ref"]
+        name = ref.removeprefix("#/definitions/") if type(ref) is str else ref
+        if len(schema) > 1 or name == ref or name not in defs:
+            raise _uncovered(f"$ref in {schema!r}")
+        return _compile(defs[name], defs)
     by_type = {t: [] for t in _JSON_TYPES}
     by_type[float].append(math.isfinite)
     if schema.get("additionalProperties") is not False:  # else every key is named
@@ -206,7 +220,7 @@ def _compile(schema):
         by_type[list].append(lambda x: len(x) <= start or all(map(_finite, x[start:])))
     for key, val in schema.items():
         if key not in _PASSIVE:
-            for types, test in _keyword_tests(key, val, schema):
+            for types, test in _keyword_tests(key, val, schema, defs):
                 for t in types:
                     by_type[t].append(test)
 
@@ -238,12 +252,6 @@ class _Schema(dict):
             return False
 
 
-# Draft-07 validation without the metaschema check that jsonschema.validate
-# makes on every call: _schema_for makes it once per command instead.
-_Draft7Checked = jsonschema.validators.extend(jsonschema.Draft7Validator)
-_Draft7Checked.check_schema = classmethod(lambda cls, schema: None)
-
-
 def _iter_errors_compiled(self, instance):
     """No error for a payload the schema's compiled pass accepts.  Any other
     payload exits 2 on its first NaN or infinity, before any schema message,
@@ -252,12 +260,14 @@ def _iter_errors_compiled(self, instance):
     if self.schema.accepts(instance):
         return iter(())
     _reject_non_finite(instance)
-    return _Draft7Checked(self.schema).iter_errors(instance)
+    return jsonschema.Draft7Validator(self.schema).iter_errors(instance)
 
 
-# _Draft7Checked that tries the compiled pass first
-_Draft7Compiled = jsonschema.validators.extend(_Draft7Checked)
-_Draft7Compiled.check_schema = _Draft7Checked.check_schema
+# Draft-07 validation that tries the compiled pass first, without the
+# metaschema check that jsonschema.validate makes on every call: _schema_for
+# makes it once per command instead.
+_Draft7Compiled = jsonschema.validators.extend(jsonschema.Draft7Validator)
+_Draft7Compiled.check_schema = classmethod(lambda cls, schema: None)
 _Draft7Compiled.iter_errors = _iter_errors_compiled
 
 

@@ -1,11 +1,9 @@
-"""Log-domain numeric helpers: compensated sums, log-sum-exp, Stirling ratios."""
+"""Log-domain numeric helpers: log-sum-exp and a Stirling ratio of Gamma values."""
 
 from __future__ import annotations
 
 import math
 from typing import Iterable
-
-LOG_ZERO = float("-inf")
 
 
 def logsumexp(xs: Iterable[float]) -> float:
@@ -15,7 +13,7 @@ def logsumexp(xs: Iterable[float]) -> float:
     """
     xs = list(xs)
     if not xs:
-        return LOG_ZERO
+        return float("-inf")
     m = max(xs)
     if math.isinf(m):
         return m
@@ -31,21 +29,3 @@ def lgamma_ratio(z: float, a: float) -> float:
     t = (z - 0.5) * math.log1p(a / z) + a * (math.log(z + a) - 1.0)
     t += 1.0 / (12.0 * (z + a)) - 1.0 / (12.0 * z)
     return t
-
-
-def fit_loglog_slope(xs: Iterable[float], ys: Iterable[float]) -> float:
-    """Least-squares slope of log(y) against log(x).
-
-    Points with non-positive y are skipped; requires at least two usable points.
-    """
-    pts = [(math.log(x), math.log(y)) for x, y in zip(xs, ys) if y > 0.0 and x > 0.0]
-    if len(pts) < 2:
-        raise ValueError("need at least two positive points for a log-log fit")
-    n = len(pts)
-    mx = math.fsum(p[0] for p in pts) / n
-    my = math.fsum(p[1] for p in pts) / n
-    sxx = math.fsum((p[0] - mx) ** 2 for p in pts)
-    sxy = math.fsum((p[0] - mx) * (p[1] - my) for p in pts)
-    if sxx == 0.0:
-        raise ValueError("all x values identical in log-log fit")
-    return sxy / sxx

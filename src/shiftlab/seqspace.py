@@ -19,6 +19,7 @@ convolution power keeps the order of the repeated product.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import numbers
 import sys
@@ -47,7 +48,11 @@ def _check_index(k: int) -> int:
 
 
 class SeqVec:
-    """Finitely supported sequence of doubles, canonical sparse form."""
+    """Finitely supported sequence of doubles, canonical sparse form.
+
+    Entries at a repeated index are added in the order given, and a sum that
+    is not finite raises ValueError.
+    """
 
     __slots__ = ("_e",)
 
@@ -58,10 +63,9 @@ class SeqVec:
             items = entries.items() if isinstance(entries, dict) else entries
             for k, c in items:
                 _check_index(k)
-                c = float(c)
+                c = float(c) + e.get(k, 0.0)
                 if not math.isfinite(c):
                     raise ValueError(f"non-finite coefficient {c!r} at index {k}")
-                c += e.get(k, 0.0)
                 if -tiny < c < tiny:
                     e.pop(k, None)
                 else:
@@ -98,14 +102,7 @@ class SeqVec:
     def __add__(self, other: "SeqVec") -> "SeqVec":
         if not isinstance(other, SeqVec):
             return NotImplemented
-        out = dict(self._e)
-        for k, c in other._e.items():
-            s = out.get(k, 0.0) + c
-            if -_TINY < s < _TINY:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return SeqVec(out)
+        return SeqVec(itertools.chain(self.items(), other.items()))
 
     def __sub__(self, other: "SeqVec") -> "SeqVec":
         if not isinstance(other, SeqVec):

@@ -27,7 +27,6 @@ from shiftlab.criteria import (
     check_carac_conditions,
     check_corollary_hypotheses,
 )
-from shiftlab.lognum import fit_loglog_slope
 from shiftlab.seqspace import (
     L1,
     SUP,
@@ -77,6 +76,22 @@ def criterion(number: int, label: str, budget_s: float):
     status = "PASS" if elapsed < budget_s else "FAIL"
     print(f"[{status}] criterion {number}: {label} ({elapsed:.2f}s, budget {budget_s:g}s)")
     assert elapsed < budget_s, f"criterion {number} exceeded its runtime budget"
+
+
+def fit_loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log(y) against log(x), skipping points with a
+    non-positive x or y; at least two points must remain."""
+    pts = [(math.log(x), math.log(y)) for x, y in zip(xs, ys) if y > 0.0 and x > 0.0]
+    if len(pts) < 2:
+        raise ValueError("need at least two positive points for a log-log fit")
+    n = len(pts)
+    mx = math.fsum(p[0] for p in pts) / n
+    my = math.fsum(p[1] for p in pts) / n
+    sxx = math.fsum((p[0] - mx) ** 2 for p in pts)
+    sxy = math.fsum((p[0] - mx) * (p[1] - my) for p in pts)
+    if sxx == 0.0:
+        raise ValueError("all x values identical in log-log fit")
+    return sxy / sxx
 
 
 def test_criterion_1_telescoping_exactness():

@@ -828,9 +828,8 @@ class TestSchemas:
 
     def test_shared_forms_agree_in_every_schema(self):
         # each command schema is read on its own, so a shared form is repeated
-        # in every file that uses it; the copies must not drift apart
-        from importlib import resources
-
+        # in every file that uses it (once, under definitions, where the file
+        # uses it twice); with local refs resolved the copies must not drift apart
         found = {names: [] for names in self.SHARED_FORMS}
 
         def collect(node, where):
@@ -845,27 +844,57 @@ class TestSchemas:
                 for val in node.values():
                     collect(val, where)
 
-        for f in resources.files("shiftlab.schemas").iterdir():
-            if f.name.endswith(".schema.json"):
-                collect(json.loads(f.read_text()), f.name)
+        for f in _schema_files():
+            schema = json.loads(f.read_text())
+            collect(_resolve_local_refs(schema, schema.get("definitions", {})), f.name)
         for names, copies in found.items():
             assert len(copies) >= 2, names
             assert len({form for _, form in copies}) == 1, (names, sorted(copies))
+
+    def test_every_ref_names_a_definition_of_its_file(self):
+        # perfbench validates each file with a bare jsonschema.validate, so no
+        # $ref may leave its file, and draft-07 ignores a $ref's siblings
+        for f in _schema_files():
+            schema = json.loads(f.read_text())
+            defs = schema.get("definitions", {})
+            refs = [node for _, node in _json_nodes(schema)
+                    if isinstance(node, dict) and "$ref" in node]
+            for node in refs:
+                assert list(node) == ["$ref"], (f.name, node)
+                assert node["$ref"].startswith("#/definitions/"), (f.name, node)
+                assert node["$ref"].removeprefix("#/definitions/") in defs, (f.name, node)
+            used = {node["$ref"].removeprefix("#/definitions/") for node in refs}
+            assert used == set(defs), (f.name, sorted(set(defs) - used))
 
     def test_every_schema_is_draft07(self):
         # the CLI validates with a draft-07 class directly, not the class its
         # $schema names, so the declaration must say draft-07; a 2020-12
         # schema was also about 4x as costly to check as a draft-07 one
-        from importlib import resources
-
         from jsonschema import Draft7Validator
-        files = [f for f in resources.files("shiftlab.schemas").iterdir()
-                 if f.name.endswith(".schema.json")]
+        files = _schema_files()
         assert len(files) == 10
         for f in files:
             schema = json.loads(f.read_text())
             assert schema["$schema"] == "http://json-schema.org/draft-07/schema#", f.name
             Draft7Validator.check_schema(schema)
+
+
+def _schema_files():
+    from importlib import resources
+    return [f for f in resources.files("shiftlab.schemas").iterdir()
+            if f.name.endswith(".schema.json")]
+
+
+def _resolve_local_refs(node, defs):
+    """A copy of a schema node with each {"$ref": "#/definitions/<name>"}
+    replaced by that definition, itself resolved."""
+    if isinstance(node, list):
+        return [_resolve_local_refs(val, defs) for val in node]
+    if not isinstance(node, dict):
+        return node
+    if "$ref" in node:
+        return _resolve_local_refs(defs[node["$ref"].removeprefix("#/definitions/")], defs)
+    return {key: _resolve_local_refs(val, defs) for key, val in node.items()}
 
 
 def _schema_file(command):
@@ -1150,6 +1179,20 @@ class TestCompiledPass:
         from shiftlab import cli
         with pytest.raises(jsonschema.SchemaError, match="keyword 'pattern'"):
             cli._compile({"properties": {"name": {"pattern": "^a"}}})
+
+    @pytest.mark.parametrize("schema", [
+        {"properties": {"K": {"$ref": "box.schema.json#/definitions/box"}},
+         "definitions": {"box": {"type": "array"}}},
+        {"properties": {"K": {"$ref": "#/definitions/box", "minItems": 1}},
+         "definitions": {"box": {"type": "array"}}},
+        {"properties": {"K": {"$ref": "#/definitions/missing"}},
+         "definitions": {"box": {"type": "array"}}},
+        {"properties": {"K": {"$ref": "#/properties/L"}, "L": {"type": "array"}}},
+    ], ids=["other_file", "sibling_keyword", "missing_definition", "not_a_definition"])
+    def test_ref_outside_the_definitions_is_a_schema_error(self, schema):
+        from shiftlab import cli
+        with pytest.raises(jsonschema.SchemaError, match=r"\$ref in "):
+            cli._compile(schema)
 
     @staticmethod
     def without_params(covering):

@@ -219,6 +219,15 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             SeqVec({0: float("nan")})
 
+    def test_overflowing_repeated_index_rejected_like_a_sum(self):
+        # the check is on the accumulated coefficient, not on each summand,
+        # so entries at one index and vector addition reject the same sum
+        huge = SeqVec({0: 1e308})
+        for build in (lambda: SeqVec([(0, 1e308), (0, 1e308)]), lambda: huge + huge):
+            with pytest.raises(ValueError, match="^non-finite coefficient inf at index 0$"):
+                build()
+        assert SeqVec([(0, 1e308), (0, -1e308), (1, 1e-320)]) == SeqVec()
+
     def test_max_index_boundary(self):
         assert basis(MAX_INDEX).support_max() == MAX_INDEX
 
