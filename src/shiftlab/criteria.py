@@ -38,6 +38,7 @@ from .seqspace import _TINY, L1, MAX_INDEX, SeqVec, SpaceNorm, _norm, cw_root
 from .weights import (
     LipschitzProfile,
     WeightFamily,
+    _in_double_range,
     _max_slope,
     _positive,
     _require_admissible,
@@ -205,18 +206,16 @@ def check_basic_criterion(
             witness=None if covered else {"uncovered_point": list(missing)})
     conds["II.a"] = CheckResult(total <= eps, total, eps, evaluations=1)
 
-    # sampled lambdas per cell, axis and sample: one np.linspace per distinct
-    # box side, keyed by float.hex because 0.0 == -0.0
-    sides = {}
-
-    def spaced(lo: float, hi: float) -> np.ndarray:
-        key = (float(lo).hex(), float(hi).hex())
-        if key not in sides:
-            sides[key] = np.linspace(lo, hi, s)
-        return sides[key]
-
-    lams = np.asarray([[[c.anchor[ax]] if s == 1 else spaced(lo, hi)
-                        for ax, (lo, hi) in enumerate(c.box)] for c in cells], dtype=np.float64)
+    # sampled lambdas per cell, axis and sample: the anchor if s = 1, else
+    # np.linspace(lo, hi, s)'s bits, k*step + lo for k < s - 1 (k/(s-1)*(hi-lo)
+    # + lo where step is 0.0) and then hi itself
+    if s == 1:
+        lams = np.asarray([c.anchor for c in cells], dtype=np.float64)[..., None]
+    else:
+        lo, hi = np.asarray([c.box for c in cells], dtype=np.float64).transpose(2, 0, 1)[..., None]
+        k, step = np.arange(s - 1.0), (hi - lo) / (s - 1)
+        lams = np.concatenate(
+            (np.where(step == 0.0, k / (s - 1) * (hi - lo), k * step) + lo, hi), axis=-1)
     # every lambda before any display: the first bad one in (cell, axis,
     # sample) order raises, with its axis's family in the message
     bad = ~((lams > 0.0) & np.isfinite(lams))
@@ -366,7 +365,10 @@ class UnifParams:
         if (self.n_max - self.N0 + 1) * (self.k_max - self.N0 + 1) > _MAX_PAIR_GRID:
             raise ValueError("n_max*k_max grid too large; lower the evaluation bounds")
         ns = np.arange(self.N0, self.n_max + 1, dtype=np.float64)
-        if (np.asarray(self.F(ns)) > self.C1 * ns**self.alpha).any():
+        fn = np.asarray(self.F(ns))
+        with _in_double_range("C1*n**alpha"):
+            bound = self.C1 * ns**self.alpha
+        if (fn > bound).any():
             raise ValueError("profile violates F(n) <= C1 * n**alpha on [N0, n_max]")
 
     def grid(self) -> np.ndarray:
@@ -418,10 +420,12 @@ def check_unif_hypotheses(
     s = np.arange(2 * p.N0, p.n_max + p.k_max + 1, dtype=np.float64)
     h = p.F(s) / s**p.alpha
     win = np.lib.stride_tricks.sliding_window_view(h, len(ns))
-    ck = p.C2 * ks.astype(np.float64) ** p.alpha
+    with _in_double_range("C2*k**alpha"):
+        ck = p.C2 * ks.astype(np.float64) ** p.alpha
     log_rhs = math.log(p.M0) - p.beta * np.log(ks.astype(np.float64))
     fk = log_cum_prefix(fam, lo, p.k_max)[ks]
-    m1 = (ck * win.max(axis=1) - fk) - log_rhs
+    with _in_double_range("C2*k**alpha*F(n + k)/(n + k)**alpha"):
+        m1 = (ck * win.max(axis=1) - fk) - log_rhs
     m2 = (-fk / p.m_prime) - log_rhs
 
     # witness: the first (n, k) in n-major order; only the columns tying for
@@ -500,15 +504,20 @@ def check_corollary_hypotheses(
 
     # one chunked prefix scan per chord point serves both bullets, block by
     # block; strict comparisons keep the first worst n, as argmax/argmin do
+    g_name = "n**alpha" if variant == 1 else "log(n)"
+    floor_name = f"log(D2) + {'D3' if variant == 1 else 'gamma'}*{g_name}"
     pts = chord_points(fam, grid)
     scans = [log_cum_chunks(fam, a, N, n_max) for a in pts]
     lip = grw = None
     n0 = N
     for rows in zip(*scans):
         nsf = np.arange(n0, n0 + len(rows[0]), dtype=np.float64)
-        g = nsf**alpha if variant == 1 else np.log(nsf)
-        lip_bound = D1 * g
-        growth_floor = log_D2 + c_growth * g
+        with _in_double_range(g_name):
+            g = nsf**alpha if variant == 1 else np.log(nsf)
+        with _in_double_range(f"D1*{g_name}"):
+            lip_bound = D1 * g
+        with _in_double_range(floor_name):
+            growth_floor = log_D2 + c_growth * g
         ratios = _max_slope(pts, rows)
         diff = ratios - lip_bound
         w = int(np.argmax(diff))
@@ -590,7 +599,7 @@ def check_carac_conditions(
     ns = [n for n, _ in sched]
     if min(ns) < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("schedule powers must be positive and strictly increasing")
-    fns = [float(p.F(n)) for n in ns]
+    fns = p.F(ns).tolist()
     if not all(f > 0.0 for f in fns):
         raise ValueError("growth profile F(n_k) must be positive at every schedule power")
     conds: Dict[str, CheckResult] = {}
@@ -620,36 +629,32 @@ def check_carac_conditions(
     # (N + 1, q - k) table: column j = k is the denominator window(lambda_k,
     # l, n_k) that every earlier k reads, so k runs backwards and dens[ax, k]
     # keeps it; the other columns are the numerators, and row l minus the
-    # later denominators holds the tail's log coefficients in j order.  The
-    # scan is reversed too, so >= keeps the first maximum in (k, axis, l) order.
+    # later denominators holds the tail's log coefficients in j order; its norm is
+    # tails[k, ax, l], and argmax takes the first maximum in (k, axis, l) order.
     dt = np.int64 if ns[-1] + p.N <= MAX_INDEX else object
     ls = np.arange(p.N + 1).astype(dt)
     dens = np.empty((d, q, p.N + 1))
-    worst_iii = (-math.inf, None)
+    tails = np.empty((q - 1, d, p.N + 1))
     for k in reversed(range(q)):
         n_k, lam_k = sched[k]
         offs = (np.asarray(ns[k:], dtype=dt) - n_k)[None, :] + ls[:, None]
-        for ax in reversed(range(d)):
+        for ax in range(d):
             w = _windows_at(fams[ax], lam_k[ax], offs, n_k)
             dens[ax, k] = w[:, 0]
-            if k == q - 1:
-                continue
-            vals = _norm_from_logcoeffs(w[:, 1:] - dens[ax, k + 1:].T, p.space_norm)
-            for l in reversed(range(p.N + 1)):
-                if vals[l] >= worst_iii[0]:
-                    worst_iii = (vals[l], {"k": k, "axis": ax, "l": l})
+            if k < q - 1:
+                tails[k, ax] = _norm_from_logcoeffs(w[:, 1:] - dens[ax, k + 1:].T, p.space_norm)
     # (ii) per axis: || sum_k what_{n_k}(lambda_k(i))^{-1/m} e_{n_k} || < eps,
     # where log what_{n_k}(lambda_k) = window(lambda_k, 0, n_k) is dens[ax, k, 0]
     vals = _norm_from_logcoeffs(-dens[:, :, 0] / p.m, p.space_norm)
     ax = int(np.argmax(vals))  # the first axis at the maximum
     conds["ii"] = CheckResult(
         vals[ax] < p.eps, vals[ax], p.eps, witness={"axis": ax}, evaluations=d * q)
-    evals = q * d * (p.N + 1)
-    if worst_iii[0] == -math.inf:
-        worst_iii = (0.0, None)
+    worst_iii, witness = 0.0, None
+    if q > 1:
+        k, ax, l = np.unravel_index(int(np.argmax(tails)), tails.shape)
+        worst_iii, witness = float(tails[k, ax, l]), {"k": int(k), "axis": int(ax), "l": int(l)}
     conds["iii"] = CheckResult(
-        worst_iii[0] < p.eps, worst_iii[0], p.eps, witness=worst_iii[1],
-        evaluations=evals)
+        worst_iii < p.eps, worst_iii, p.eps, witness=witness, evaluations=q * d * (p.N + 1))
 
     # hypothesis probe: Lipschitz sandwich and weight-ratio floor on K's grid
     conds["H"] = _carac_hypothesis_probe(fams, ns, fns, p)

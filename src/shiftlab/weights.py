@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -137,6 +138,16 @@ def _positive(name: str, value) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"constants must be finite and positive; got {name} = {value!r}")
     return value
+
+
+@contextmanager
+def _in_double_range(what: str):
+    """Raise a numpy overflow in the block as a ValueError naming the quantity."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(f"{what} overflows the double range") from None
 
 
 def _require_admissible(fam: WeightFamily, lam: float) -> float:
@@ -555,9 +566,12 @@ class LipschitzProfile:
             raise ValueError(f"unknown profile kind {self.kind!r}")
 
     def __call__(self, n) -> float:
+        n = np.asarray(n, dtype=np.float64)
         if self.kind == "power":
-            return self.D1 * np.asarray(n, dtype=np.float64) ** self.alpha
-        return self.D1 * np.log(np.asarray(n, dtype=np.float64))
+            with _in_double_range("F(n) = D1*n**alpha"):
+                return self.D1 * n**self.alpha
+        with _in_double_range("F(n) = D1*log(n)"):
+            return self.D1 * np.log(n)
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind, "D1": self.D1}

@@ -216,6 +216,9 @@ def build_witness(cfg: WitnessConfig, on_collision: str = "error") -> Witness:
         log_eps.append(-log_cum_window(cfg.fams[ax], a_lo, 0, m * sigma) / m)
         with _in_range("the separator coefficient eps", ax, a_lo):
             eps.append(math.exp(log_eps[-1]))
+    # a covering's powers strictly increase, so only N_1 can be too small
+    if powers[0] < (m - 1) * sigma:
+        raise ValueError(f"cell power N_1 = {powers[0]} smaller than (m-1)*sigma = {(m-1)*sigma}")
 
     coeffs = []
     anchor_windows = []
@@ -225,12 +228,8 @@ def build_witness(cfg: WitnessConfig, on_collision: str = "error") -> Witness:
         v = cfg.v[ax].items_sorted()
         # log|d_{l,j}| = log|v_l| - log m - (m-1) log eps - W(anchor_j, l, N_j)
         shift = [math.log(abs(vl)) - math.log(m) - (m - 1) * log_eps[ax] for _, vl in v]
-        windows = []
-        for j, (cell, n_j) in enumerate(zip(cov.cells, powers), start=1):
-            if n_j < (m - 1) * sigma:
-                raise ValueError(
-                    f"cell power N_{j} = {n_j} smaller than (m-1)*sigma = {(m-1)*sigma}")
-            windows.append([log_cum_window(fam, cell.anchor[ax], l, n_j) for l, _ in v])
+        windows = [[log_cum_window(fam, cell.anchor[ax], l, n_j) for l, _ in v]
+                   for cell, n_j in zip(cov.cells, powers)]
         cs = []
         for cell, row in zip(cov.cells, windows):
             with _in_range("a d-coefficient", ax, cell.anchor[ax]):

@@ -281,18 +281,37 @@ class TestBasicCriterionOracle:
         # blocks of 2**13 entries peak at about 1.3 MiB; all 256 cells at once, 9.5 MiB
         assert peak < 3 * 2**20, peak
 
-    def test_one_linspace_per_distinct_box_side(self, monkeypatch):
-        # 4 x 4 cells tiling a square: both axes share the same 4 sides
-        side = 0.1 / 4
-        cells = [Cell(100 * (j + 1), (1.2 + (r + 0.5) * side, 1.2 + (c + 0.5) * side),
-                      ((1.2 + r * side, 1.2 + (r + 1) * side),
-                       (1.2 + c * side, 1.2 + (c + 1) * side)))
-                 for j, (r, c) in enumerate(itertools.product(range(4), repeat=2))]
+    @pytest.mark.parametrize("s", [1, 3, 4])
+    def test_sampled_lambdas_have_linspace_bits(self, s, monkeypatch):
+        # d = 3: axis 1 has zero-width sides; cell 0's axis-2 side is one
+        # subnormal wide, so at s = 4 its step rounds to 0.0 and linspace
+        # scales (k / 3) * width instead, giving lo, lo, hi, hi
+        sides = [((1.2 + 0.01 * j, 1.21 + 0.01 * j), (1.1, 1.1),
+                  (5e-324, 1e-323) if j == 0 else (0.3 + 0.1 * j, 0.35 + 0.1 * j))
+                 for j in range(5)]
+        cov = Covering(tuple(Cell(10 * (j + 1), tuple(hi for _, hi in box), box)
+                             for j, box in enumerate(sides)))
         calls = []
-        linspace = np.linspace
-        monkeypatch.setattr(np, "linspace", lambda *a: calls.append(a) or linspace(*a))
-        check_basic_criterion((PP, PP), Covering(tuple(cells)), (basis(0), basis(0)), 1, 2, 0.2, 3)
-        assert len(calls) == len({a[:2] for a in calls}) == 4
+        windows = criteria.log_cum_windows
+        monkeypatch.setattr(criteria, "log_cum_windows",
+                            lambda *a: calls.append((a[1], a[3])) or windows(*a))
+        v = (SeqVec({0: 1.0, 1: 0.5}), basis(0), basis(1))
+        check_basic_criterion((PP, PP, PP), cov, v, 1, 2, 0.2, s)
+        cell_of = {n: j for j, n in enumerate(cov.powers)}
+
+        def sample(j, ax, k):
+            lo, hi = sides[j][ax]
+            return cov.cells[j].anchor[ax] if s == 1 else np.linspace(lo, hi, s)[k]
+
+        # d calls at the anchors, then per block or re-evaluated cell, per
+        # axis, one call per sample from s - 1 down to 0
+        d = 3
+        assert len(calls) > d and (len(calls) - d) % (d * s) == 0
+        for c, (lam, ns) in enumerate(calls[d:]):
+            ax, k = c // s % d, s - 1 - c % s
+            want = [float(sample(cell_of[n], ax, k)).hex() for n in ns.tolist()]
+            assert [x.hex() for x in lam.tolist()] == want, (ax, k)
+        assert np.linspace(5e-324, 1e-323, 4).tolist() == [5e-324, 5e-324, 1e-323, 1e-323]
 
     @pytest.mark.parametrize("family,cells,m_hi", [
         # the forward coefficient 0.5**(-1000) is a double, its square is not
@@ -821,6 +840,22 @@ class TestCaracConditions:
         oracle = float(sum(Fraction(1, n) for n in ns))
         assert rep.conditions["ii"].achieved == pytest.approx(oracle, rel=1e-12)
 
+    def test_iii_witness_is_the_first_of_tied_tails(self):
+        # geometric windows n*log(lambda) do not depend on the offset l, and
+        # both axes share the family and lambda_k, so the tails at each k tie
+        # across every (axis, l); the largest is at k = 2, whose n_k*log(lambda_k)
+        # exceeds those of the later points
+        lams = (1.5, 1.3, 1.25, 1.1, 1.1)
+        sched = [(100 * (k + 1), (lam, lam)) for k, lam in enumerate(lams)]
+        p = CaracParams(m=2, tau=1.0, N=50, eps=1.0, K=((1.1, 1.5), (1.1, 1.5)),
+                        F=LipschitzProfile("power", 1.0, 0.5), c=0.5, C=2.0)
+        iii = check_carac_conditions((GEO, GEO), sched, p).conditions["iii"]
+        assert iii.witness == {"k": 2, "axis": 0, "l": 0}
+        assert iii.witness == carac_tails_scalar((GEO, GEO), sched, p)[1].witness
+        last = [log_cum_window(GEO, lams[2], n_j - 300 + p.N, 300)
+                - log_cum_window(GEO, lam_j[1], p.N, n_j) for n_j, lam_j in sched[3:]]
+        assert scalar_norm_from_logcoeffs(last, L1) == iii.achieved
+
     def test_monotone_in_eps(self):
         fam, sched, _ = self.exp_alpha_setup()
         for eps1, eps2 in ((1e-9, 1e-3), (1e-3, 1e3)):
@@ -1018,3 +1053,38 @@ class TestReportDeterminism:
         rows = rep.rows()
         assert [r["condition"] for r in rows] == ["lipschitz", "growth"]
         assert all({"pass", "achieved", "bound", "margin"} <= set(r) for r in rows)
+
+
+# a shipped example with constants past the double range: (example, {key
+# path: value}, the quantity named on stderr)
+OVERFLOWS = {
+    "unif-C2": ("unif_check", {("params", "C2"): 1e308}, "C2*k**alpha"),
+    "unif-F-C1": ("unif_check", {("params", "F", "D1"): 1e307, ("params", "C1"): 1e308},
+                  "C1*n**alpha"),
+    "unif-C1": ("unif_check", {("params", "C1"): 1e308}, "C1*n**alpha"),
+    "unif-growth": ("unif_check", {("params", "C2"): 1e300, ("params", "F", "D1"): 1e10,
+                                   ("params", "C1"): 1e11},
+                    "C2*k**alpha*F(n + k)/(n + k)**alpha"),
+    "corollary-gamma": ("corollary_check", {("constants", "gamma"): 1e308},
+                        "log(D2) + gamma*log(n)"),
+    "corollary-alpha": ("corollary_check", {("variant",): 1, ("constants",): {
+        "D1": 1.0, "D2": 1.0, "D3": 1.0, "alpha": 1000.0}}, "n**alpha"),
+    "corollary-D1": ("corollary_check", {("constants", "D1"): 1e308}, "D1*log(n)"),
+    "carac-F": ("carac_check", {("params", "F", "D1"): 1e308}, "F(n) = D1*n**alpha"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWS))
+def test_a_constant_past_the_double_range_is_named(case, capsys):
+    name, edits, what = OVERFLOWS[case]
+    payload = json.loads((EXAMPLES / f"{name}.json").read_text())
+    for (*keys, last), value in edits.items():
+        obj = payload
+        for key in keys:
+            obj = obj[key]
+        obj[last] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run({"command": name.replace("_", "-"), "payload": payload}) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"shiftlab: config error: {what} overflows the double range\n")
