@@ -35,12 +35,6 @@ from .covering import Covering, CoveringInfeasibleError, GradedParams, LogCoveri
 from .seqspace import L1, SeqVec, SpaceNorm, norm as seq_norm
 from .weights import LipschitzProfile, WeightFamily, log_cum_prefix
 
-COMMANDS = (
-    "cover-build", "cover-verify", "criterion-check", "unif-check",
-    "corollary-check", "carac-check", "witness-build", "witness-eval",
-    "witness-sweep", "orbit-probe",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -380,15 +374,13 @@ CsvData = Optional[Tuple[List[str], List[dict]]]
 
 
 def _h_cover_build(payload: dict):
-    kind = payload["kind"]
+    kind = payload["kind"]  # the schema admits only these two kinds
     if kind == "log":
         params = LogCoveringParams.from_json_dict(payload["params"])
         cov = covmod.build_log_covering(params, q_override=payload.get("q_override"))
     elif kind == "graded":
         params = GradedParams.from_json_dict(payload["params"])
         cov = covmod.build_graded_covering(covmod.as_box(payload["K"]), params)
-    else:
-        raise ConfigError(f"unknown covering kind {kind!r}")
     return True, cov.to_json_dict(), None
 
 
@@ -487,7 +479,7 @@ def _h_witness_eval(payload: dict):
     cfg = witmod.WitnessConfig.from_json_dict(payload["config"])
     w = witmod.build_witness(cfg)
     lam = [float(a) for a in payload["lambda"]]
-    path = payload.get("path", "analytic")
+    path = payload.get("path", "analytic")  # the schema admits only these two paths
     if path == "analytic":
         ev = witmod.eval_analytic(w, lam)
     elif path == "bruteforce":
@@ -495,8 +487,6 @@ def _h_witness_eval(payload: dict):
         if n is None:
             n = w.powers[witmod.locate_cell(w.covering, lam)]
         ev = witmod.eval_bruteforce(w, lam, int(n), **_given(payload, budget=int))
-    else:
-        raise ConfigError(f"unknown evaluation path {path!r}")
     worst = max(math.fsum(ev.p1_err), math.fsum(ev.p2_norm), math.fsum(ev.p3_norm),
                 ev.premature_max)
     passed = bool(ev.separation_ok and worst < cfg.eta)
@@ -540,6 +530,7 @@ _HANDLERS = {
     "witness-sweep": _h_witness_sweep,
     "orbit-probe": _h_orbit_probe,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .weights import _positive
+from .weights import _in_double_range, _positive
 
 Box = Tuple[Tuple[float, float], ...]
 
@@ -32,6 +32,9 @@ _MAX_PAIR_GRID = 50_000_000
 # entries per row block of verify_graded's (c) and (e) pair arrays: at
 # q = 12**3 in d = 3 they peak near 64 MiB, against 205 MiB unblocked
 _ROW_BLOCK = 1 << 22
+# largest q of a log covering: a Cell holds about 410 B at d = 2 and 520 B at
+# d = 3, and cover-build peaks near 2.3 and 2.8 KB per cell with its report
+_MAX_LOG_CELLS = 1_000_000
 
 
 class CoveringInfeasibleError(ValueError):
@@ -67,7 +70,7 @@ class Cell:
             raise ValueError("cell power must be a positive integer")
         if len(self.anchor) != len(self.box):
             raise ValueError("anchor and box dimensions differ")
-        as_box(self.box)
+        object.__setattr__(self, "box", as_box(self.box))
 
     def to_json_dict(self) -> dict:
         return {
@@ -78,7 +81,7 @@ class Cell:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Cell":
-        return cls(int(obj["n"]), tuple(float(a) for a in obj["anchor"]), as_box(obj["box"]))
+        return cls(int(obj["n"]), tuple(float(a) for a in obj["anchor"]), obj["box"])
 
 
 @dataclass(frozen=True)
@@ -308,7 +311,9 @@ def build_log_covering(p: LogCoveringParams, q_override: Optional[int] = None) -
 
     Cell count q is the largest perfect d-th power below floor((log sigma)^3+1)
     (q_override replaces it for oracle runs); anchors sit at cell centers in
-    row-major order and cell j carries the exact integer power N_j.
+    row-major order and cell j carries the exact integer power N_j.  A q
+    past _MAX_LOG_CELLS raises CoveringInfeasibleError('budget') before any
+    cell is built.
     """
     d = p.d
     if q_override is None:
@@ -317,6 +322,9 @@ def build_log_covering(p: LogCoveringParams, q_override: Optional[int] = None) -
         q = int(q_override)
         if q < 1:
             raise ValueError("q_override must be >= 1")
+    if q > _MAX_LOG_CELLS:
+        raise CoveringInfeasibleError(
+            "budget", f"log covering of q = {q} cells exceeds the cap of {_MAX_LOG_CELLS}")
     g = _iroot(q, d)
     if g**d != q:
         raise ValueError(f"q_override = {q} is not a perfect {d}-th power")
@@ -479,7 +487,8 @@ def _check_c(boxes: Sequence[Box], ns: np.ndarray, p: GradedParams) -> CheckResu
         np.maximum(dist, hi[None, cols, :] - lo[rows, None, :], out=dist)
         dist = dist.max(axis=2)
         n_l = ns[None, cols]
-        bound = p.D * np.abs(n_l - ns[rows, None]) ** p.alpha / n_l ** p.alpha
+        with _in_double_range("D*|n_l - n_j|**alpha"):
+            bound = p.D * np.abs(n_l - ns[rows, None]) ** p.alpha / n_l ** p.alpha
         gap = bound - dist
         gap[np.tril_indices(gap.shape[0], -1, gap.shape[1])] = np.inf  # the pairs l <= j
         r, c = divmod(int(np.argmin(gap)), gap.shape[1])

@@ -62,6 +62,11 @@ def _in_range(what: str, ax: int, lam: float):
                          f"range") from None
 
 
+def _support_top(xs: Sequence[SeqVec]) -> Optional[int]:
+    """Largest index stored in any of xs, or None when every one is empty."""
+    return max((t for t in map(SeqVec.support_max, xs) if t is not None), default=None)
+
+
 @dataclass(frozen=True)
 class WitnessConfig:
     log_cov: LogCoveringParams
@@ -104,9 +109,7 @@ class WitnessConfig:
     @property
     def p_support(self) -> int:
         """Largest index appearing in u or v (0 when all are empty)."""
-        tops = [x.support_max() for x in self.u + self.v]
-        tops = [t for t in tops if t is not None]
-        return max(tops) if tops else 0
+        return _support_top(self.u + self.v) or 0
 
     def to_json_dict(self) -> dict:
         out = {
@@ -281,10 +284,7 @@ def _p0_support_bound(w: Witness) -> int:
     """
     cfg = w.cfg
     m, sigma = cfg.m, cfg.sigma
-    u_top = max((x.support_max() or 0) for x in cfg.u) if any(
-        not x.is_empty() for x in cfg.u) else None
-    v_top = max((x.support_max() or 0) for x in cfg.v) if any(
-        not x.is_empty() for x in cfg.v) else None
+    u_top, v_top = _support_top(cfg.u), _support_top(cfg.v)
     d_top = None if v_top is None else w.powers[-1] - (m - 1) * sigma + v_top
     best = -1
     for a_u in range(m + 1):
@@ -327,7 +327,7 @@ def eval_analytic(w: Witness, lam: Sequence[float]) -> WitnessEval:
     n_i = w.powers[i]
     p1, p2, p3, branches = zip(*(_axis_errors(w, ax, lam[ax], i) for ax in range(w.cfg.d)))
     sep = _separation(w, n_i)
-    top = max((x.support_max() or 0) for x in w.vectors)
+    top = _support_top(w.vectors) or 0
     if (w.cfg.m - 1) * top < n_i:
         premature = 0.0
     else:

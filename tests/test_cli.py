@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -236,6 +237,54 @@ class TestExitCodeContract:
         assert capsys.readouterr().err.splitlines() == [
             "shiftlab: config error: n_max*k_max grid too large; lower the evaluation bounds"]
         assert not out.exists()
+
+    @staticmethod
+    def run_exit_two(job, capsys):
+        """stderr lines of a job that exits 2, writes no stdout and warns of no overflow."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(job) == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        return err.splitlines()
+
+    def test_graded_bound_past_the_double_range_exits_two(self, capsys):
+        # D*|n_l - n_j|**alpha overflows before its division by n_l**alpha,
+        # in the search's (c) screen and in verify_graded alike
+        build = json.loads((EXAMPLES / "graded_cover_build.json").read_text())
+        assert run({"command": "cover-build", "payload": build}) == 0
+        cov = json.loads(capsys.readouterr().out)
+        del cov["meta"]
+        build["params"]["D"] = 1e308
+        verify = {"covering": cov, "K": build["K"], "params": build["params"]}
+        for command, payload in (("cover-build", build), ("cover-verify", verify)):
+            assert self.run_exit_two({"command": command, "payload": payload}, capsys) == [
+                "shiftlab: config error: D*|n_l - n_j|**alpha overflows the double range"]
+
+    def test_log_covering_past_the_cell_cap_exits_two(self, monkeypatch, capsys):
+        # m = 10**6 at base 100 asks for about 9.9e9 cells per axis, a 73.6 GiB
+        # edge array: the cap reads q from the integers, so no grid is built
+        from shiftlab import covering
+
+        box = [[1.2, 1.3], [1.2, 1.3]]
+        huge = {"kind": "log", "params": {"box": box, "m": 10**6, "r": 1, "base": 100}}
+        override = {"kind": "log", "params": {"box": box, "m": 2, "r": 1, "base": 100},
+                    "q_override": 1001**2}
+        cfg = witness_cfg_json()
+        del cfg["cov_override"]
+        cfg["log_cov"]["base"] = 10**22  # (log sigma)^3 = 1.04e6 cells
+
+        def no_grid(K, g):
+            raise AssertionError(f"a grid of {g} cells per axis was built")
+
+        monkeypatch.setattr(covering, "_grid_boxes", no_grid)
+        for command, payload, q in (("cover-build", huge, 97664572421962647696),
+                                    ("cover-build", override, 1002001),
+                                    ("witness-build", {"config": cfg}, 1019**2)):
+            assert self.run_exit_two({"command": command, "payload": payload}, capsys) == [
+                f"shiftlab: config error: log covering of q = {q} cells exceeds the cap "
+                f"of 1000000"]
 
     @pytest.mark.parametrize("name,path,value", [
         ("graded_cover_build", ("params", "D"), math.nan),
@@ -1257,4 +1306,19 @@ class TestInternalErrorsRaise:
         payload = json.loads((EXAMPLES / "orbit_probe.json").read_text())
         with pytest.raises(error):
             run({"command": "orbit-probe", "payload": payload})
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("log_cover_build", "kind", "other"), ("witness_eval", "path", "other")])
+    def test_a_value_the_schema_admits_but_no_handler_takes_raises(
+            self, command, key, value, monkeypatch, capsys):
+        # cover-build's kind and witness-eval's path are schema enums; a
+        # handler that drifts from its enum is a bug in shiftlab, not exit 2
+        from shiftlab import cli
+
+        monkeypatch.setattr(cli, "_validate_payload", lambda command, payload: None)
+        payload = json.loads((EXAMPLES / f"{command}.json").read_text())
+        payload[key] = value
+        with pytest.raises(UnboundLocalError):
+            run({"command": EXAMPLE_COMMANDS[command], "payload": payload})
         assert capsys.readouterr().err == ""

@@ -79,6 +79,14 @@ class TestLogCoveringArithmetic:
         with pytest.raises(ValueError):
             build_log_covering(p, q_override=5)  # not a perfect square in d=2
 
+    def test_q_past_the_cell_cap_is_over_budget(self, monkeypatch):
+        # the cap reads q from the integers: no cell and no grid edge is built
+        monkeypatch.setattr(covering, "_grid_boxes", None)
+        p = LogCoveringParams(box=BOX_1213, m=2, r=1, base=100)
+        with pytest.raises(CoveringInfeasibleError) as exc:
+            build_log_covering(p, q_override=(math.isqrt(covering._MAX_LOG_CELLS) + 1) ** 2)
+        assert exc.value.reason == "budget"
+
 
 class TestLogCoveringGeometry:
     def test_every_point_covered(self):

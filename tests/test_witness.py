@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from shiftlab import witness
-from shiftlab.covering import Covering, LogCoveringParams, build_log_covering
+from shiftlab.covering import Cell, Covering, LogCoveringParams, build_log_covering
 from shiftlab.seqspace import SeqVec, basis
 from shiftlab.weights import WeightFamily, lipschitz_ratio, log_cum_window
 from shiftlab.witness import (
@@ -136,6 +136,25 @@ class TestAnalytic:
         ev = eval_analytic(w, lam)
         assert not ev.separation_ok
         assert ev.p3_norm[0] == 0.0  # the separator is annihilated, not reflected
+
+    def test_first_power_reaching_the_separator_is_not_separated(self):
+        # one cell at N_1 = sigma = 10**4 with v supported on {0, 1}: the
+        # cross-term bound and m*sigma >= N_1 hold and nothing collides, but
+        # (m-1)*sigma + p < N_1 fails, so B^{N_1} leaves the separator of u'
+        # itself at index 0, with pure-power weight 1.25*log(N_1) there
+        p = LogCoveringParams(box=((1.2, 1.3),), m=2, r=1, base=100)
+        cov = Covering(cells=(Cell(n=10**4, anchor=(1.25,), box=((1.2, 1.3),)),))
+        cfg = WitnessConfig(log_cov=p, u=(SeqVec(),), v=(basis(0) + 0.5 * basis(1),),
+                            eta=0.1, cov_override=cov)
+        w = build_witness(cfg)
+        assert not w.collision_indices
+        assert witness._p0_support_bound(w) < 10**4 <= 2 * p.sigma
+        ea = eval_analytic(w, (1.25,))
+        eb = eval_bruteforce(w, (1.25,), 10**4)
+        assert not ea.separation_ok and not eb.separation_ok
+        assert ea.premature_max == eb.premature_max
+        # eps * exp(W(1.25, 0, N_1)) with log eps = -W(1.2, 0, 2*sigma) / 2
+        assert ea.premature_max == pytest.approx(10**5 / (2 * 10**4) ** 0.6, rel=1e-12)
 
     def test_outside_box_rejected(self):
         cfg = override_config()
