@@ -313,10 +313,20 @@ def build_log_covering(p: LogCoveringParams, q_override: Optional[int] = None) -
     (q_override replaces it for oracle runs); anchors sit at cell centers in
     row-major order and cell j carries the exact integer power N_j.  A q
     past _MAX_LOG_CELLS raises CoveringInfeasibleError('budget') before any
-    cell is built.
+    cell is built, and before sigma is formed where m*log(base) alone puts q
+    far past it.
     """
     d = p.d
     if q_override is None:
+        # log sigma is m*log(base) to rounding; past twice the cube root of
+        # G**d, the least d-th power above the cap, q passes the cap however
+        # it rounds (sigma = 100**10**9 alone would take 830 MB).  Compared
+        # in logs, so that no m or d overflows a float.
+        if (math.log(p.m) + math.log(math.log(p.base))
+                > math.log(2.0) + d * math.log(_iroot(_MAX_LOG_CELLS, d) + 1) / 3):
+            raise CoveringInfeasibleError(
+                "budget", f"log covering over sigma = {p.base}**{p.m} exceeds the cap of "
+                f"{_MAX_LOG_CELLS} cells")
         q = log_covering_cell_count(p.sigma, d)
     else:
         q = int(q_override)

@@ -264,27 +264,34 @@ class TestExitCodeContract:
 
     def test_log_covering_past_the_cell_cap_exits_two(self, monkeypatch, capsys):
         # m = 10**6 at base 100 asks for about 9.9e9 cells per axis, a 73.6 GiB
-        # edge array: the cap reads q from the integers, so no grid is built
+        # edge array: the cap reads q from the integers, so no grid is built,
+        # and where m*log(base) alone puts q far past it, sigma is not formed
         from shiftlab import covering
 
         box = [[1.2, 1.3], [1.2, 1.3]]
-        huge = {"kind": "log", "params": {"box": box, "m": 10**6, "r": 1, "base": 100}}
-        override = {"kind": "log", "params": {"box": box, "m": 2, "r": 1, "base": 100},
-                    "q_override": 1001**2}
+        cap = "exceeds the cap of 1000000"
+        cases = [({"kind": "log", "params": {"box": box, "m": m, "r": 1, "base": 100}},
+                  f"log covering over sigma = 100**{m} {cap} cells") for m in (10**6, 10**400)]
+        cases.append(({"kind": "log", "params": {"box": box, "m": 2, "r": 1, "base": 100},
+                       "q_override": 1001**2}, f"log covering of q = 1002001 cells {cap}"))
         cfg = witness_cfg_json()
         del cfg["cov_override"]
-        cfg["log_cov"]["base"] = 10**22  # (log sigma)^3 = 1.04e6 cells
+        cfg["log_cov"]["base"] = 10**22  # (log sigma)^3 = 1.04e6 cells, q = 1019**2
+        cases.append(({"config": cfg}, f"log covering of q = {1019**2} cells {cap}"))
 
         def no_grid(K, g):
             raise AssertionError(f"a grid of {g} cells per axis was built")
 
+        def small_sigma(p):
+            assert p.m < 100, f"sigma = {p.base}**{p.m} was formed"
+            return p.base**p.m
+
         monkeypatch.setattr(covering, "_grid_boxes", no_grid)
-        for command, payload, q in (("cover-build", huge, 97664572421962647696),
-                                    ("cover-build", override, 1002001),
-                                    ("witness-build", {"config": cfg}, 1019**2)):
+        monkeypatch.setattr(covering.LogCoveringParams, "sigma", property(small_sigma))
+        for payload, line in cases:
+            command = "witness-build" if "config" in payload else "cover-build"
             assert self.run_exit_two({"command": command, "payload": payload}, capsys) == [
-                f"shiftlab: config error: log covering of q = {q} cells exceeds the cap "
-                f"of 1000000"]
+                f"shiftlab: config error: {line}"]
 
     @pytest.mark.parametrize("name,path,value", [
         ("graded_cover_build", ("params", "D"), math.nan),
