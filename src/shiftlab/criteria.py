@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -54,10 +55,12 @@ from .weights import (
 )
 
 I0_POINTS = 9  # default size of an I0 grid
-# criterion-check takes as many cells per block as keep each block array at
-# most this many (cell, pair) entries or display values (one cell if it needs
-# more).  The benchmark's q = 256 job peaks at 1.3 MiB under tracemalloc with
-# 2**13, 2.4 MiB with 2**14 and 9.5 MiB with all its cells in one block.
+# criterion-check takes consecutive cells into a block while their sizes sum
+# to at most this: a cell's size is its most (cell, pair) entries on an axis,
+# and at least its s**d * M display values (one cell if it needs more).  The
+# benchmark's q = 256 job peaks through cli.run at 0.94 MiB under tracemalloc
+# with 2**13, 1.7 MiB with 2**14 and 6.4 MiB with all its cells in one block,
+# in about the same time.
 _BLOCK = 1 << 13
 # criterion-check evaluates II.b at every sample point of each cell whose
 # upper-corner value is at least (1 - _CORNER_SLACK) times the largest one
@@ -65,34 +68,36 @@ _CORNER_SLACK = 1e-4
 
 
 def _canonical(c: np.ndarray) -> np.ndarray:
-    """Coefficients as a SeqVec stores them: |c| below the least normal is 0."""
+    """Coefficients as a SeqVec stores them, in place: |c| below the least normal is 0."""
     if not np.isfinite(c).all():
         raise ValueError("non-finite coefficient in a criterion display")
-    return np.where(np.abs(c) < _TINY, 0.0, c)
+    c[np.abs(c) < _TINY] = 0.0
+    return c
 
 
-def _segment_norms(c: np.ndarray, at: np.ndarray, n: SpaceNorm) -> list:
-    """The norms _norm gives the segments c[at[i]:at[i + 1]]."""
-    a, at = np.abs(c).tolist(), at.tolist()
-    if n.kind == "sup":
-        return [max(a[i:j], default=0.0) for i, j in zip(at, at[1:])]
-    if n.p == 1.0:  # fsum is correctly rounded, so any order gives these bits
-        return [math.fsum(a[i:j]) for i, j in zip(at, at[1:])]
-    return [_norm(a[i:j], n) for i, j in zip(at, at[1:])]
+def _segment_norms(c: np.ndarray, at: np.ndarray, n: SpaceNorm) -> np.ndarray:
+    """The norms _norm gives the segments c[..., at[i]:at[i + 1]], shaped (..., len(at) - 1).
 
-
-def _cell_bins(cell: np.ndarray, off: np.ndarray):
-    """The bin of each (cell, offset) pair and the cell of each bin.
-
-    Bins number the distinct pairs in sorted order.
+    ``at`` runs from 0 to c.shape[-1] and bounds the same segments in every row.
     """
-    order = np.lexsort((off, cell))
-    c, o = cell[order], off[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (c[1:] != c[:-1]) | (o[1:] != o[:-1])
-    bins = np.empty(len(order), dtype=np.int64)
-    bins[order] = np.cumsum(new) - 1
-    return bins, c[new]
+    if n.kind == "sup":
+        seg = partial(max, default=0.0)
+    elif n.p == 1.0:  # fsum is correctly rounded, so any order gives these bits
+        seg = math.fsum
+    else:
+        seg = partial(_norm, n=n)
+    at, *lead, width = at.tolist(), *c.shape
+    out = [[seg(row[i:j].tolist()) for i, j in zip(at, at[1:])]
+           for row in map(np.abs, c.reshape(math.prod(lead), width))]
+    return np.asarray(out).reshape(*lead, len(at) - 1)
+
+
+def _exps(w: np.ndarray) -> np.ndarray:
+    """math.exp of each window, as the sparse operators take it."""
+    try:
+        return np.fromiter(map(math.exp, w.tolist()), np.float64, len(w))
+    except OverflowError:
+        raise ValueError("non-finite coefficient in a criterion display") from None
 
 
 def _norm_from_logcoeffs(rows, n: SpaceNorm) -> list:
@@ -170,11 +175,14 @@ def check_basic_criterion(
     ms = range(m_lo, m_hi + 1)
     cells, powers = cov.cells, cov.powers
 
-    # Flat per-axis arrays over the (cell j, support index l) pairs, j-major:
-    # l, n_j, the target at l and the powers A**m of the forward coefficients
-    # A = root_l * exp(-window(anchor_j, l, n_j)/m_lo).  Powers use Python's
-    # float pow and the windows below math.exp, as the sparse operators do;
-    # np.power and np.exp can differ from them in the last bit.
+    # Per axis, arrays over the (cell j, support index l) pairs: n_j, the
+    # target at l, the powers A**m of the forward coefficients
+    # A = root_l * exp(-window(anchor_j, l, n_j)/m_lo) and the key l + n_j.
+    # Powers use Python's float pow and the windows below math.exp, as the
+    # sparse operators do; np.power and np.exp can differ from them in the
+    # last bit.  B^{n_i} moves (j, l) to l + n_j - n_i, so cell i's entries
+    # are the pairs whose key is at least n_i: with the pairs in stable key
+    # order ((j, l) order among equal keys), the suffix from starts[i].
     flat = []
     total = 0.0  # II.a: the lambda-independent forward sum
     for ax, root in enumerate(roots):
@@ -185,15 +193,18 @@ def check_basic_criterion(
         A = coeffs * np.exp(-log_cum_windows(fams[ax], np.repeat(anchors, len(supp)), ls, ns)
                             / m_lo)
         # bincount adds colliding indices in (j, l) order, as dict updates do
-        _, inv = np.unique(ls + ns, return_inverse=True)
+        keys = ls + ns
+        uniq, inv = np.unique(keys, return_inverse=True)
         total += _norm(_canonical(np.bincount(inv, A)).tolist(), space_norm)
         target = np.tile([v[ax].coeff(int(l)) for l in supp], cov.q)
         try:
-            Am = [np.asarray([a**m for a in A.tolist()]) for m in ms]
+            Am = np.asarray([[a**m for a in A.tolist()] for m in ms])
         except OverflowError:
             raise ValueError("non-finite coefficient in a criterion display") from None
-        flat.append((ls, ns, target, Am))
-
+        order = np.lexsort((keys,))  # stable: equal keys stay in (j, l) order
+        keys = keys[order]
+        flat.append((ns[order], target[order], Am[:, order], keys,
+                     np.searchsorted(keys, powers), len(uniq) < len(keys), len(supp)))
     conds: Dict[str, CheckResult] = {}
     if region is None:
         conds["I"] = CheckResult(
@@ -231,48 +242,53 @@ def check_basic_criterion(
         """
         n_blk = np.asarray(powers[i0:i0 + nb])
         # Per axis, (nb, s, M) tables of the II.b norm (rows j != i) and the
-        # III/IV norm (row j = i), where B^{n_i} moves (j, l) to l + n_j - n_i.
-        # Adding them in axis order gives each grid point 0.0 + t_0 + ... + t_{d-1}.
+        # III/IV norm (row j = i).  Adding them in axis order gives each grid
+        # point 0.0 + t_0 + ... + t_{d-1}.
         tail = head = np.zeros((nb, M))
-        for ax, ((ls, ns, target, Am), fam) in enumerate(zip(flat, fams)):
-            offs = (ls + ns)[None, :] - n_blk[:, None]
-            cell, pair = np.nonzero(offs >= 0)  # cell-major, then (j, l)
-            offs = offs[cell, pair]
-            own = ns[pair] == n_blk[cell]
-            bins, bin_cells = _cell_bins(cell[~own], offs[~own])
-            tail_at = np.searchsorted(bin_cells, np.arange(nb + 1))
-            head_at = np.searchsorted(cell[own], np.arange(nb + 1))
-            Am = [x[pair] for x in Am]
-            target = target[pair[own]]
-            lam = lams[i0:i0 + nb, ax][cell]
-            table = np.empty((2, nb, s, M))  # (II.b, III or IV) per cell, sample and power
+        for ax, ((ns, target, Am, keys, starts, collide, n_own), fam) in enumerate(zip(flat, fams)):
+            # cell-major entries, each cell's in sorted key order
+            st = starts[i0:i0 + nb]
+            count = len(keys) - st
+            cell = np.repeat(np.arange(nb), count)
+            at = np.arange(len(cell)) + (st - np.cumsum(count) + count)[cell]
+            n_e = n_blk[cell]
+            offs = keys[at] - n_e
+            own = ns[at] == n_e
+            other = ~own
+            lam = lams[i0:i0 + nb, ax]
             # the corner first: its call takes every entry, so it raises what
-            # an every-entry call at any other sample would
-            for k in reversed(range(s)):
-                full = k == s - 1 or not corner
-                at = slice(None) if full else own
-                w = log_cum_windows(fam, lam[at, k], offs[at], n_blk[cell[at]])
-                try:
-                    e = np.fromiter(map(math.exp, w.tolist()), np.float64, len(w))
-                except OverflowError:
-                    raise ValueError("non-finite coefficient in a criterion display") from None
-                for mi, pw in enumerate(Am):
-                    c = pw[at] * e
-                    if full:
-                        # bincount adds each (cell, offset) bin in (j, l) order
-                        c_tail = _canonical(np.bincount(bins, c[~own], len(bin_cells)))
-                        table[0, :, k, mi] = _segment_norms(c_tail, tail_at, space_norm)
-                        c = c[own]
-                    c = _canonical(c)
-                    if mi == 0:
-                        c = _canonical(c - target)
-                    table[1, :, k, mi] = _segment_norms(c, head_at, space_norm)
+            # a call at any other sample would; one more call takes the other
+            # samples of the entries wanted there, (entry, sample)-major
+            e = _exps(log_cum_windows(fam, lam[cell, -1], offs, n_e))
+            x = own if corner else slice(None)
+            ex = e[x][:, None]
+            if s > 1:
+                rest = _exps(log_cum_windows(fam, lam[cell[x], :-1].ravel(),
+                                             np.repeat(offs[x], s - 1), np.repeat(n_e[x], s - 1)))
+                ex = np.concatenate((rest.reshape(-1, s - 1), ex), axis=1)
+            tail_e, head_e = (e[other, None], ex) if corner else (ex[other], ex[own])
+            # c[mi, k, entry] for power mi and tail sample k, and each one's cell
+            at_o, cl = at[other], cell[other]
+            c = Am.take(at_o, axis=1)[:, None] * tail_e.T
+            if collide:
+                # one bin per (cell, key); bincount adds each bin in (j, l) order
+                key = keys[at_o]
+                new = np.ones(len(key), dtype=bool)
+                new[1:] = (key[1:] != key[:-1]) | (cl[1:] != cl[:-1])
+                bins, cl = np.cumsum(new) - 1, cl[new]
+                c = np.array([[np.bincount(bins, row, len(cl)) for row in rows] for rows in c])
+            tail_at = np.searchsorted(cl, np.arange(nb + 1))
+            tail_t = _segment_norms(_canonical(c), tail_at, space_norm)
+            at_h = at[own]
+            c = _canonical(Am.take(at_h, axis=1)[:, None] * head_e.T)
+            c[0] = _canonical(c[0] - target[at_h])
+            head_t = _segment_norms(c, np.arange(nb + 1) * n_own, space_norm)
             shape = (nb,) + (1,) * ax + (s, M)
             if corner:
-                tail = tail + table[0, :, s - 1]
+                tail = tail + tail_t[:, 0].T
             else:
-                tail = tail[..., None, :] + table[0].reshape(shape)
-            head = head[..., None, :] + table[1].reshape(shape)
+                tail = tail[..., None, :] + tail_t.transpose(2, 1, 0).reshape(shape)
+            head = head[..., None, :] + head_t.transpose(2, 1, 0).reshape(shape)
         return tail, head
 
     worst = {name: CheckResult(True, 0.0, eps, evaluations=0) for name in ("II.b", "III", "IV")}
@@ -296,15 +312,20 @@ def check_basic_criterion(
     # evaluated again at every sample point.  That finds the first maximum
     # where lower samples tie the corner (a zero-width box side) and where
     # rounding breaks the order by a few ulp.
-    per_block = max(1, _BLOCK // max(s**d * M, *(len(f[0]) for f in flat)))
+    # blocks of consecutive cells whose sizes sum to at most _BLOCK
+    size = np.maximum(s**d * M, np.max([len(keys) - starts for *_, keys, starts, _, _ in flat],
+                                       axis=0))
+    ends = np.cumsum(size)
     corners = np.empty((cov.q, M))
-    for i0 in range(0, cov.q, per_block):
-        nb = min(per_block, cov.q - i0)
+    i0 = 0
+    while i0 < cov.q:
+        nb = max(1, int(np.searchsorted(ends, ends[i0] - size[i0] + _BLOCK, "right")) - i0)
         corners[i0:i0 + nb], head = tables(i0, nb, corner=True)
         worst["II.b"].evaluations += nb * s**d * M
         for name, vals, pows in (("IV", head[..., :1], ms[:1]), ("III", head[..., 1:], ms[1:])):
             worst[name].evaluations += vals.size
             record(name, vals, i0, pows)
+        i0 += nb
     best = corners.max(axis=1)
     top = float(best.max(initial=0.0))
     if top > 0.0:  # else every corner value is 0.0, and so every II.b value
@@ -502,28 +523,28 @@ def check_corollary_hypotheses(
     else:
         raise ValueError(f"variant must be 1 or 2, got {variant}")
 
-    # one chunked prefix scan per chord point serves both bullets, block by
-    # block; strict comparisons keep the first worst n, as argmax/argmin do
+    # one chunked scan yields every chord point's prefix and serves both
+    # bullets, block by block, with the block's indices as nsf; strict
+    # comparisons keep the first worst n, as argmax/argmin do
     g_name = "n**alpha" if variant == 1 else "log(n)"
     floor_name = f"log(D2) + {'D3' if variant == 1 else 'gamma'}*{g_name}"
     pts = chord_points(fam, grid)
-    scans = [log_cum_chunks(fam, a, N, n_max) for a in pts]
     lip = grw = None
     n0 = N
-    for rows in zip(*scans):
-        nsf = np.arange(n0, n0 + len(rows[0]), dtype=np.float64)
+    for nsf, rows in log_cum_chunks(fam, pts, N, n_max):
         with _in_double_range(g_name):
             g = nsf**alpha if variant == 1 else np.log(nsf)
         with _in_double_range(f"D1*{g_name}"):
             lip_bound = D1 * g
-        with _in_double_range(floor_name):
-            growth_floor = log_D2 + c_growth * g
+        with _in_double_range(floor_name):  # log(D2) + c*g, in g's place
+            growth_floor = np.add(log_D2, np.multiply(c_growth, g, out=g), out=g)
         ratios = _max_slope(pts, rows)
         diff = ratios - lip_bound
         w = int(np.argmax(diff))
         if lip is None or diff[w] > lip[0]:
             lip = (diff[w], ratios[w], lip_bound[w], n0 + w)
-        gdiff = rows[0] - growth_floor  # least at the least grid point
+        # least at the least grid point; in diff's place
+        gdiff = np.subtract(rows[0], growth_floor, out=diff)
         w = int(np.argmin(gdiff))
         if grw is None or gdiff[w] < grw[0]:
             grw = (gdiff[w], rows[0][w], growth_floor[w], n0 + w)

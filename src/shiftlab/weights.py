@@ -45,7 +45,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -347,49 +347,65 @@ def log_cum_prefix(fam: WeightFamily, lam: float, upto: int) -> np.ndarray:
 
     Closed forms are exact; the affine family uses a vectorized cumulative
     sum, adequate for checker margins (absolute error ~ n * eps).  This is
-    the one-block case of log_cum_chunks.
+    the one-block, one-lam case of log_cum_chunks.
     """
     if upto < 0:
         raise ValueError("prefix length must be nonnegative")
-    return next(log_cum_chunks(fam, lam, 0, upto, upto + 1))
+    return next(log_cum_chunks(fam, (lam,), 0, upto, upto + 1))[1][0]
 
 
 def log_cum_chunks(
-    fam: WeightFamily, lam: float, lo: int, hi: int, block: int = _CHUNK
-) -> Iterator[np.ndarray]:
-    """Yield P[lo..hi] of log_cum_prefix in blocks of ``block`` entries from lo on.
+    fam: WeightFamily, lams: Sequence[float], lo: int, hi: int, block: int = _CHUNK
+) -> Iterator[Tuple[np.ndarray, List[np.ndarray]]]:
+    """Yield (n, rows) for n = lo..hi in blocks of ``block`` entries from lo on.
 
-    Closed forms are elementwise.  The affine family prepends a block's last
-    prefix value to the next block's cumsum; np.add.accumulate adds in
-    sequence, so each entry has the bits of one cumsum over 1..hi.  Terms
-    below lo are summed in blocks too: memory is O(block) for any lo.  Affine
-    blocks are views of one reused buffer: use each before asking for the next.
+    n holds the block's indices as floats and rows[j] the same entries of
+    log_cum_prefix(fam, lams[j], hi).  Each block makes one np.arange and
+    one lam-free part of its terms (log n, n**alpha or i**(1-alpha)), which
+    every lam reads.  Closed forms are elementwise.  The affine family
+    prepends a block's last prefix value to the next block's cumsum;
+    np.add.accumulate adds in sequence, so each entry has the bits of one
+    cumsum over 1..hi.  Terms below lo are summed in blocks too: memory is
+    O(block * len(lams)) for any lo.  Affine rows are views of reused
+    buffers: use each block before asking for the next.
     """
-    lam = _require_admissible(fam, lam)
-    closed = {"pure_power": lambda ns: lam * np.log(np.maximum(ns, 1.0)),
-              "exp_alpha": lambda ns: lam * ns**fam.alpha,
-              "power_ratio": lambda ns: lam * np.log(ns + 1.0),
-              "geometric": lambda ns: ns * math.log(lam)}.get(fam.variant)
-    if closed:
+    lams = [_require_admissible(fam, lam) for lam in lams]
+    v = fam.variant
+    if v != "affine":  # each row is a lam factor times a lam-free part
+        part = {"pure_power": lambda ns: np.log(np.maximum(ns, 1.0)),
+                "exp_alpha": lambda ns: ns**fam.alpha,
+                "power_ratio": lambda ns: np.log(ns + 1.0),
+                "geometric": lambda ns: ns}[v]
+        factors = [math.log(lam) if v == "geometric" else lam for lam in lams]
         for s in range(lo, hi + 1, block):
-            yield closed(np.arange(s, min(s + block, hi + 1), dtype=np.float64))
+            ns = np.arange(s, min(s + block, hi + 1), dtype=np.float64)
+            g = part(ns)
+            yield ns, [f * g for f in factors]
         return
     # buffers of at most hi + 1 terms; out[0] carries P[s - 1] (P[-1] = 0) and
     # out[1:] takes the terms k..e-1, k = max(s, 1), so s = 0 keeps its P[0]
     block = min(block, hi + 1)
-    buf = np.empty(block + 1)
-    carry = 0.0
+    bufs = [np.empty(block + 1) for _ in lams]
+    carry = [0.0] * len(lams)
     for s in itertools.chain(range(1, lo, block), range(lo, hi + 1, block)):
         e = min(s + block, lo if s < lo else hi + 1)
         k = max(s, 1)
-        out = buf[:e - k + 1]
-        out[1:] = np.arange(k, e, dtype=np.float64)
-        _affine_terms(fam.alpha, lam, out[1:])
-        out[0] = carry
-        np.cumsum(out, out=out)
-        carry = out[-1]
+        ns = np.arange(s, e, dtype=np.float64)
+        # i**(1-alpha) for i = k..e-1 waits in the last lam's buffer, whose
+        # terms are taken last, in place
+        base = ns[k - s:]
+        if fam.alpha:
+            base = np.power(base, 1.0 - fam.alpha, out=bufs[-1][1:e - k + 1])
+        rows = []
+        for j, (lam, buf) in enumerate(zip(lams, bufs)):
+            out = buf[:e - k + 1]
+            np.log1p(np.divide(lam, base, out=out[1:]), out=out[1:])  # as _affine_terms
+            out[0] = carry[j]
+            np.cumsum(out, out=out)
+            carry[j] = out[-1]
+            rows.append(out[1 if s else 0:])
         if s >= lo:
-            yield out[1 if s else 0:]
+            yield ns, rows
 
 
 def log_cum_windows(

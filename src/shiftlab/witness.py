@@ -213,15 +213,16 @@ def build_witness(cfg: WitnessConfig, on_collision: str = "error") -> Witness:
     powers = cov.powers
     q = cov.q
 
+    # a covering's powers strictly increase, so only N_1 can be too small;
+    # tested before any window, since the separator's has length m*sigma
+    if powers[0] < (m - 1) * sigma:
+        raise ValueError(f"cell power N_1 = {powers[0]} smaller than (m-1)*sigma = {(m-1)*sigma}")
     log_eps, eps = [], []
     for ax in range(d):
         a_lo = cfg.log_cov.box[ax][0]
         log_eps.append(-log_cum_window(cfg.fams[ax], a_lo, 0, m * sigma) / m)
         with _in_range("the separator coefficient eps", ax, a_lo):
             eps.append(math.exp(log_eps[-1]))
-    # a covering's powers strictly increase, so only N_1 can be too small
-    if powers[0] < (m - 1) * sigma:
-        raise ValueError(f"cell power N_1 = {powers[0]} smaller than (m-1)*sigma = {(m-1)*sigma}")
 
     coeffs = []
     anchor_windows = []

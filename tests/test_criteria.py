@@ -173,13 +173,13 @@ class TestBasicCriterionOracle:
             (GEO, 1.1, 0.02, 1.08, 1.12, SeqVec({0: 1.0, 1: 0.3})),
             (WeightFamily.affine(0.4), 1.3, 0.03, 1.27, 1.33, SeqVec({0: 0.7, 1: 0.4})))
 
-    def instance(self, d):
+    def instance(self, d, powers=(3, 4, 5, 6)):
         # consecutive powers with support {0, 1}: index l = 1 of cell j meets
         # index l = 0 of cell j + 1 in II.a and II.b
         axes = self.AXES[:d]
         cells = [Cell(n, tuple(c + s * n for _, c, s, *_ in axes),
                       tuple((lo + s * n, hi + s * n) for _, _, s, lo, hi, _ in axes))
-                 for n in (3, 4, 5, 6)]
+                 for n in powers]
         return tuple(ax[0] for ax in axes), Covering(tuple(cells)), tuple(ax[5] for ax in axes)
 
     @pytest.mark.parametrize("space_norm,samples,d,m_lo,m_hi", [
@@ -207,12 +207,16 @@ class TestBasicCriterionOracle:
             assert cond.witness == witness, name
         q = cov.q
         assert rep.conditions["III"].evaluations == q * samples**d * (m_hi - m_lo)
-        # d anchor windows, then one per block of cells, axis and sampled value
-        # of that axis: the 4 cells fit one block, and the s**d grid points
-        # share the windows.  Then d * samples more for the one cell whose
-        # II.b value at its upper corner is the largest, evaluated again at
-        # every sample point: no other cell's is within _CORNER_SLACK of it.
-        assert len(calls) == d + d * samples + d * samples
+        # d anchor windows, then two per block of cells and axis: the upper
+        # corner for every entry, then the other samples of the own entries
+        # (j = i), and the s**d grid points share them.  The 4 cells fit one
+        # block.  Then two per axis for the one cell whose II.b value at its
+        # upper corner is the largest, evaluated again at every sample point:
+        # no other cell's is within _CORNER_SLACK of it.
+        assert len(calls) == d + 2 * d + 2 * d
+        # cell i's entries are the pairs (j, l) with l + n_j >= n_i
+        entries = sum(j.n + l >= i.n for i in cov.cells for j in cov.cells for l in (0, 1))
+        assert [len(a[2]) for a in calls[d:3 * d]] == [entries, 2 * q * (samples - 1)] * d
 
     @pytest.mark.parametrize("cells_per_block", [4, 2, 1])
     @pytest.mark.parametrize("space_norm,samples,d,m_lo,m_hi", [
@@ -223,18 +227,75 @@ class TestBasicCriterionOracle:
         fams, cov, v = self.instance(d)
         args = (fams, cov, v, m_lo, m_hi, 0.1, samples, space_norm)
         want = json.dumps(check_basic_criterion(*args).to_json_dict())
-        # a block holds _BLOCK // max(s**d * M, pairs per axis) cells
-        pairs = cov.q * max(len(x.support()) for x in v)
-        monkeypatch.setattr(criteria, "_BLOCK",
-                            cells_per_block * max(samples**d * (m_hi - m_lo + 1), pairs))
+        # a block takes cells while their sizes sum to at most _BLOCK; here a
+        # cell's size is its s**d * M display values, which is more than its
+        # at most q * 2 entries per axis
+        size = samples**d * (m_hi - m_lo + 1)
+        assert size > cov.q * 2
+        monkeypatch.setattr(criteria, "_BLOCK", cells_per_block * size)
         calls = []
         windows = criteria.log_cum_windows
         monkeypatch.setattr(criteria, "log_cum_windows",
                             lambda *a: calls.append(a) or windows(*a))
         assert json.dumps(check_basic_criterion(*args).to_json_dict()) == want
-        # d anchor windows, d * samples per block and d * samples for the one
-        # cell whose II.b corner value is evaluated again at every sample point
-        assert len(calls) == d + d * samples * (cov.q // cells_per_block) + d * samples
+        # d anchor windows, two per block and axis and two per axis for the
+        # one cell whose II.b corner value is evaluated again at every sample
+        assert len(calls) == d + 2 * d * (cov.q // cells_per_block) + 2 * d
+
+    # axis 0: support {0, 1} on consecutive powers, so keys l + n_j collide
+    # (1 + 3 = 0 + 4); axis 1: support {0, 10}, whose keys are all distinct
+    MIXED_POWERS = (3, 4, 5, 6, 8)
+    MIXED_V = (SeqVec({0: 0.9, 1: 0.5}), SeqVec({0: 1.0, 10: 0.2}))
+
+    def mixed_entries(self, ax, n):
+        """The (j, l) pairs of the mixed instance's cell at power n on axis ax."""
+        supp = self.MIXED_V[ax].support()
+        return sum(l + nj >= n for nj in self.MIXED_POWERS for l in supp)
+
+    @pytest.mark.parametrize("space_norm", [L1, SUP, SpaceNorm.lp(2)], ids=["l1", "sup", "lp2"])
+    def test_colliding_and_distinct_keys_match_the_oracle(self, space_norm):
+        fams, cov, _ = self.instance(2, self.MIXED_POWERS)
+        v = self.MIXED_V
+        keys = [[l + n for n in cov.powers for l in x.support()] for x in v]
+        assert len(set(keys[0])) < len(keys[0]) and len(set(keys[1])) == len(keys[1])
+        rep = check_basic_criterion(fams, cov, v, 1, 2, eps=0.1, samples_per_axis=3,
+                                    space_norm=space_norm)
+        oracle = basic_criterion_oracle(fams, cov, v, 1, 2, 3, space_norm)
+        for name, (achieved, witness) in oracle.items():
+            assert rep.conditions[name].achieved == pytest.approx(achieved, rel=1e-12), name
+            assert rep.conditions[name].witness == witness, name
+
+    @pytest.mark.parametrize("block,cells", [
+        (1, [1, 1, 1, 1, 1]), (18, [1, 2, 2]), (19, [2, 2, 1]), (27, [3, 2])])
+    @pytest.mark.parametrize("space_norm", [L1, SUP, SpaceNorm.lp(2)], ids=["l1", "sup", "lp2"])
+    def test_uneven_blocks_give_one_block_reports(self, space_norm, block, cells, monkeypatch):
+        # s = 2, d = 2 and M = 2: a cell's size is the larger of 8 display
+        # values and its most entries on an axis, 10, 9, 8, 8 and 8 here
+        fams, cov, v = *self.instance(2, self.MIXED_POWERS)[:2], self.MIXED_V
+        args = (fams, cov, v, 1, 2, 0.1, 2, space_norm)
+        assert [max(8, *(self.mixed_entries(ax, n) for ax in (0, 1))) for n in cov.powers] == [
+            10, 9, 8, 8, 8]
+        monkeypatch.setattr(criteria, "_BLOCK", 10**9)
+        want = json.dumps(check_basic_criterion(*args).to_json_dict())
+        monkeypatch.setattr(criteria, "_BLOCK", block)
+        calls = []
+        windows = criteria.log_cum_windows
+        monkeypatch.setattr(criteria, "log_cum_windows",
+                            lambda *a: calls.append(a) or windows(*a))
+        assert json.dumps(check_basic_criterion(*args).to_json_dict()) == want
+        # after d anchor calls, two per block (then per re-evaluated cell) and
+        # axis: the corner holds every entry of its cells, the other one the
+        # other sample of some of them
+        got = []
+        for c in range(2, len(calls), 2):
+            (_, _, _, n_corner), (_, _, _, n_rest) = calls[c:c + 2]
+            ax, powers = (c // 2 - 1) % 2, sorted(set(n_corner.tolist()))
+            assert len(n_corner) == sum(self.mixed_entries(ax, n) for n in powers)
+            assert len(n_corner) <= block or len(powers) == 1
+            assert len(n_rest) <= len(n_corner)
+            got.append(len(powers))
+        assert got[:2 * len(cells):2] == got[1:2 * len(cells):2] == cells
+        assert set(got[2 * len(cells):]) <= {1}
 
     @pytest.mark.parametrize("space_norm", [L1, SUP, SpaceNorm.lp(2)], ids=["l1", "sup", "lp2"])
     @pytest.mark.parametrize("flat_axis", ["zero-width", "underflow"])
@@ -304,13 +365,15 @@ class TestBasicCriterionOracle:
             return cov.cells[j].anchor[ax] if s == 1 else np.linspace(lo, hi, s)[k]
 
         # d calls at the anchors, then per block or re-evaluated cell, per
-        # axis, one call per sample from s - 1 down to 0
-        d = 3
-        assert len(calls) > d and (len(calls) - d) % (d * s) == 0
+        # axis, one call at sample s - 1 and, if s > 1, one more that holds
+        # samples 0..s-2 of each of its entries in turn
+        d, per = 3, min(s, 2)
+        assert len(calls) > d and (len(calls) - d) % (d * per) == 0
         for c, (lam, ns) in enumerate(calls[d:]):
-            ax, k = c // s % d, s - 1 - c % s
-            want = [float(sample(cell_of[n], ax, k)).hex() for n in ns.tolist()]
-            assert [x.hex() for x in lam.tolist()] == want, (ax, k)
+            ax, rest = c // per % d, c % per
+            ks = np.arange(len(ns)) % (s - 1) if rest else [s - 1] * len(ns)
+            want = [float(sample(cell_of[n], ax, k)).hex() for n, k in zip(ns.tolist(), ks)]
+            assert [x.hex() for x in lam.tolist()] == want, (ax, rest)
         assert np.linspace(5e-324, 1e-323, 4).tolist() == [5e-324, 5e-324, 1e-323, 1e-323]
 
     @pytest.mark.parametrize("family,cells,m_hi", [
@@ -646,19 +709,24 @@ class TestCorollaryHypotheses:
         # bullets; affine(0) scans the two least, pure_power every point
         ex = json.loads((EXAMPLES / "corollary_check.json").read_text())
         grid = np.linspace(ex["I0"]["lo"], ex["I0"]["hi"], ex["I0"]["points"]).tolist()
-        calls = []
+        calls, blocks = [], []
         chunks = weights.log_cum_chunks
 
-        def counted(fam, lam, lo, hi):
-            calls.append(lam)
-            return chunks(fam, lam, lo, hi)
+        def counted(fam, lams, lo, hi):
+            calls.append(list(lams))
+            for ns, rows in chunks(fam, lams, lo, hi):
+                blocks.append(len(rows))
+                yield ns, rows
 
         monkeypatch.setattr(criteria, "log_cum_chunks", counted)
         for fam, pts in ((WeightFamily.from_json_dict(ex["family"]), grid[:2]), (PP, grid)):
             calls.clear()
+            blocks.clear()
             rep = check_corollary_hypotheses(
                 fam, grid, ex["variant"], ex["constants"], ex["N"], ex["n_max"])
-            assert calls == pts
+            # one scan, whose every block holds one prefix row per chord point
+            assert calls == [pts]
+            assert blocks and set(blocks) == {len(pts)}
             assert rep.overall or fam == PP  # pure_power meets D1 * log(n) up to rounding
 
     def test_holds_two_prefixes_not_one_per_grid_point(self):

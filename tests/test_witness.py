@@ -91,6 +91,30 @@ class TestBuild:
         ev = eval_analytic(w, (1.25, 1.25))
         assert not ev.separation_ok
 
+    def test_small_first_power_refused_before_any_window(self, window_calls):
+        # m = 2, base 100: N_1 = 100 < (m - 1) * sigma = 10**4, refused before
+        # the separator's window of length m * sigma
+        cfg = override_config()
+        cells = [Cell(100 * j, c.anchor, c.box) for j, c in enumerate(cfg.cov_override.cells, 1)]
+        cfg = replace(cfg, cov_override=Covering(tuple(cells)))
+        with pytest.raises(ValueError, match=r"N_1 = 100 smaller than \(m-1\)\*sigma = 10000"):
+            build_witness(cfg)
+        assert window_calls == []
+
+    def test_small_first_power_named_before_an_overflowing_separator(self):
+        # geometric weights at lambda = 0.5: eps = 0.5**-sigma overflows, and
+        # N_1 = 100 is too small as well; the N_1 test comes first
+        p = LogCoveringParams(box=((0.5, 0.6),), m=2, r=3, base=100)
+        cells = build_log_covering(p, q_override=2).cells
+        for cells, msg in ((cells, "separator coefficient eps on axis 0 at lambda = 0.5"),
+                           ([Cell(100 * j, c.anchor, c.box) for j, c in enumerate(cells, 1)],
+                            "N_1 = 100 smaller than")):
+            cfg = WitnessConfig(log_cov=p, u=(SeqVec(),), v=(basis(0),), eta=0.1,
+                                fams=(WeightFamily.geometric(),),
+                                cov_override=Covering(tuple(cells)))
+            with pytest.raises(ValueError, match=msg):
+                build_witness(cfg)
+
     def test_cprime(self):
         cfg = override_config()
         w = build_witness(cfg)
