@@ -58,8 +58,8 @@ I0_POINTS = 9  # default size of an I0 grid
 # criterion-check takes consecutive cells into a block while their sizes sum
 # to at most this: a cell's size is its most (cell, pair) entries on an axis,
 # and at least its s**d * M display values (one cell if it needs more).  The
-# benchmark's q = 256 job peaks through cli.run at 0.94 MiB under tracemalloc
-# with 2**13, 1.7 MiB with 2**14 and 6.4 MiB with all its cells in one block,
+# benchmark's q = 256 job peaks through cli.run at 1.2 MiB under tracemalloc
+# with 2**13, 2.2 MiB with 2**14 and 8.4 MiB with all its cells in one block,
 # in about the same time.
 _BLOCK = 1 << 13
 # criterion-check evaluates II.b at every sample point of each cell whose
@@ -194,7 +194,7 @@ def check_basic_criterion(
                             / m_lo)
         # bincount adds colliding indices in (j, l) order, as dict updates do
         keys = ls + ns
-        uniq, inv = np.unique(keys, return_inverse=True)
+        _, inv = np.unique(keys, return_inverse=True)
         total += _norm(_canonical(np.bincount(inv, A)).tolist(), space_norm)
         target = np.tile([v[ax].coeff(int(l)) for l in supp], cov.q)
         try:
@@ -204,7 +204,7 @@ def check_basic_criterion(
         order = np.lexsort((keys,))  # stable: equal keys stay in (j, l) order
         keys = keys[order]
         flat.append((ns[order], target[order], Am[:, order], keys,
-                     np.searchsorted(keys, powers), len(uniq) < len(keys), len(supp)))
+                     np.searchsorted(keys, powers), len(supp)))
     conds: Dict[str, CheckResult] = {}
     if region is None:
         conds["I"] = CheckResult(
@@ -245,7 +245,7 @@ def check_basic_criterion(
         # III/IV norm (row j = i).  Adding them in axis order gives each grid
         # point 0.0 + t_0 + ... + t_{d-1}.
         tail = head = np.zeros((nb, M))
-        for ax, ((ns, target, Am, keys, starts, collide, n_own), fam) in enumerate(zip(flat, fams)):
+        for ax, ((ns, target, Am, keys, starts, n_own), fam) in enumerate(zip(flat, fams)):
             # cell-major entries, each cell's in sorted key order
             st = starts[i0:i0 + nb]
             count = len(keys) - st
@@ -270,13 +270,12 @@ def check_basic_criterion(
             # c[mi, k, entry] for power mi and tail sample k, and each one's cell
             at_o, cl = at[other], cell[other]
             c = Am.take(at_o, axis=1)[:, None] * tail_e.T
-            if collide:
-                # one bin per (cell, key); bincount adds each bin in (j, l) order
-                key = keys[at_o]
-                new = np.ones(len(key), dtype=bool)
-                new[1:] = (key[1:] != key[:-1]) | (cl[1:] != cl[:-1])
-                bins, cl = np.cumsum(new) - 1, cl[new]
-                c = np.array([[np.bincount(bins, row, len(cl)) for row in rows] for rows in c])
+            # one bin per (cell, key); bincount adds each bin in (j, l) order
+            key = keys[at_o]
+            new = np.ones(len(key), dtype=bool)
+            new[1:] = (key[1:] != key[:-1]) | (cl[1:] != cl[:-1])
+            bins, cl = np.cumsum(new) - 1, cl[new]
+            c = np.array([[np.bincount(bins, row, len(cl)) for row in rows] for rows in c])
             tail_at = np.searchsorted(cl, np.arange(nb + 1))
             tail_t = _segment_norms(_canonical(c), tail_at, space_norm)
             at_h = at[own]
@@ -313,7 +312,7 @@ def check_basic_criterion(
     # where lower samples tie the corner (a zero-width box side) and where
     # rounding breaks the order by a few ulp.
     # blocks of consecutive cells whose sizes sum to at most _BLOCK
-    size = np.maximum(s**d * M, np.max([len(keys) - starts for *_, keys, starts, _, _ in flat],
+    size = np.maximum(s**d * M, np.max([len(keys) - starts for *_, keys, starts, _ in flat],
                                        axis=0))
     ends = np.cumsum(size)
     corners = np.empty((cov.q, M))

@@ -188,11 +188,18 @@ def log_weight(fam: WeightFamily, lam: float, n: int) -> float:
 # -- affine window machinery --------------------------------------------------
 
 
-def _affine_terms(alpha: float, lam: float, idx: np.ndarray) -> np.ndarray:
-    """The terms log1p(lam / i**(1-alpha)) for the float indices i, in place in idx."""
-    if alpha:
-        np.power(idx, 1.0 - alpha, out=idx)
-    return np.log1p(np.divide(lam, idx, out=idx), out=idx)
+def _affine_bases(alpha: float, idx: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The lam-free bases i**(1-alpha) of the float indices i, into out (default idx).
+
+    alpha = 0 returns idx itself.  _affine_terms takes the lam step.
+    """
+    return np.power(idx, 1.0 - alpha, out=idx if out is None else out) if alpha else idx
+
+
+def _affine_terms(lam: float, base: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The affine terms log1p(lam / i**(1-alpha)) of _affine_bases' bases, into out (default base)."""
+    out = base if out is None else out
+    return np.log1p(np.divide(lam, base, out=out), out=out)
 
 
 def _affine_fsum_window(alpha: float, lam: float, l: int, n: int) -> float:
@@ -202,8 +209,8 @@ def _affine_fsum_window(alpha: float, lam: float, l: int, n: int) -> float:
     memory is one _CHUNK block and fsum sees the sequence of one whole list.
     """
     return math.fsum(itertools.chain.from_iterable(
-        _affine_terms(alpha, lam, np.arange(s, min(s + _CHUNK, l + n + 1),
-                                            dtype=np.float64)).tolist()
+        _affine_terms(lam, _affine_bases(alpha, np.arange(s, min(s + _CHUNK, l + n + 1),
+                                                          dtype=np.float64))).tolist()
         for s in range(l + 1, l + n + 1, _CHUNK)))
 
 
@@ -232,7 +239,7 @@ def _affine_prefix_table(alpha: float, lam: float, size: int):
     float64 buffers (at most 1 MB per table); lru_cache keeps the memo's
     memory bounded.
     """
-    t = _affine_terms(alpha, lam, np.arange(1, size, dtype=np.float64))
+    t = _affine_terms(lam, _affine_bases(alpha, np.arange(1, size, dtype=np.float64)))
     s = np.zeros(size)
     np.cumsum(t, out=s[1:])
     z = s[1:] - s[:-1]
@@ -391,15 +398,13 @@ def log_cum_chunks(
         e = min(s + block, lo if s < lo else hi + 1)
         k = max(s, 1)
         ns = np.arange(s, e, dtype=np.float64)
-        # i**(1-alpha) for i = k..e-1 waits in the last lam's buffer, whose
-        # terms are taken last, in place
-        base = ns[k - s:]
-        if fam.alpha:
-            base = np.power(base, 1.0 - fam.alpha, out=bufs[-1][1:e - k + 1])
+        # the bases of i = k..e-1 wait in the last lam's buffer, whose terms
+        # are taken last, in place
+        base = _affine_bases(fam.alpha, ns[k - s:], bufs[-1][1:e - k + 1])
         rows = []
         for j, (lam, buf) in enumerate(zip(lams, bufs)):
             out = buf[:e - k + 1]
-            np.log1p(np.divide(lam, base, out=out[1:]), out=out[1:])  # as _affine_terms
+            _affine_terms(lam, base, out[1:])
             out[0] = carry[j]
             np.cumsum(out, out=out)
             carry[j] = out[-1]

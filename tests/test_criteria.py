@@ -339,7 +339,7 @@ class TestBasicCriterionOracle:
         finally:
             tracemalloc.stop()
         assert rep.conditions["II.b"].evaluations == 256 * 9 * 2
-        # blocks of 2**13 entries peak at about 1.3 MiB; all 256 cells at once, 9.5 MiB
+        # blocks of 2**13 entries peak at about 1.1 MiB; all 256 cells at once, 8.3 MiB
         assert peak < 3 * 2**20, peak
 
     @pytest.mark.parametrize("s", [1, 3, 4])

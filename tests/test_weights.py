@@ -127,8 +127,8 @@ class TestLargeWindowPaths:
         # window's terms at once, so every length is one correctly rounded sum
         F = weights._FSUM_MAX
         for lam, l, n in ((0.7, 0, 1_500_000), (2.3, 777, F + 3), (1.1, 10**6, 5_000_000)):
-            want = math.fsum(weights._affine_terms(
-                alpha, lam, np.arange(l + 1, l + n + 1, dtype=np.float64)))
+            want = math.fsum(weights._affine_terms(lam, weights._affine_bases(
+                alpha, np.arange(l + 1, l + n + 1, dtype=np.float64))))
             assert weights._affine_fsum_window(alpha, lam, l, n) == want, (lam, l, n)
 
     def test_fsum_window_holds_one_float64_chunk(self):
@@ -450,6 +450,23 @@ class TestPrefixAndVectorized:
         for n in (0, 1, 7, 150, 300):
             assert pref[n] == pytest.approx(log_cum_window(fam, lam, 0, n),
                                             rel=1e-11, abs=1e-11)
+
+    @pytest.mark.parametrize("lo", [0, 3, 14, 17, 60])
+    @pytest.mark.parametrize("fam", FAMILIES)
+    def test_chunks_of_several_lams_have_each_prefix_bits(self, fam, lo):
+        # one scan for every lam, in blocks of 7 from lo (below, at and past
+        # the block size), has the bits of a separate prefix per lam; affine
+        # rows share buffers, so each block is copied before the next
+        lams, hi = (0.7, 1.42, 2.0 + 1 / 3, 3.5), 60
+        ns, rows = [], [[] for _ in lams]
+        for n, block in weights.log_cum_chunks(fam, lams, lo, hi, 7):
+            assert len(block) == len(lams) and all(len(r) == len(n) <= 7 for r in block)
+            ns.append(n.copy())
+            for acc, r in zip(rows, block):
+                acc.append(r.copy())
+        assert np.array_equal(np.concatenate(ns), np.arange(lo, hi + 1, dtype=np.float64))
+        for lam, acc in zip(lams, rows):
+            assert np.array_equal(np.concatenate(acc), log_cum_prefix(fam, lam, hi)[lo:]), lam
 
     @pytest.mark.parametrize("fam", FAMILIES)
     def test_vector_windows_match_scalar(self, fam):
