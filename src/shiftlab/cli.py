@@ -33,7 +33,7 @@ from . import criteria as critmod
 from . import witness as witmod
 from .covering import Covering, CoveringInfeasibleError, GradedParams, LogCoveringParams
 from .seqspace import L1, SeqVec, SpaceNorm, norm as seq_norm
-from .weights import LipschitzProfile, WeightFamily, log_cum_prefix
+from .weights import LipschitzProfile, WeightFamily, _in_double_range, log_cum_prefix
 
 
 class ConfigError(ValueError):
@@ -354,8 +354,12 @@ def orbit_probe(
         pending = [t for t, (n, _) in enumerate(found) if n is None]
         if not pending:
             break
-        orbit = [SeqVec({k - N: c * math.exp(pref[k] - pref[k - N])
-                         for k, c in v.items() if k >= N}) for v, pref in zip(x, prefixes)]
+        try:
+            orbit = [SeqVec({k - N: c * math.exp(pref[k] - pref[k - N])
+                             for k, c in v.items() if k >= N}) for v, pref in zip(x, prefixes)]
+        except OverflowError:  # as in build_witness, only a failing step enters the guard
+            with _in_double_range(f"T^N x at N = {N}"):
+                raise
         for t in pending:
             err = 0.0
             for ax in range(d):
@@ -380,7 +384,7 @@ def _h_cover_build(payload: dict):
         cov = covmod.build_log_covering(params, q_override=payload.get("q_override"))
     elif kind == "graded":
         params = GradedParams.from_json_dict(payload["params"])
-        cov = covmod.build_graded_covering(covmod.as_box(payload["K"]), params)
+        cov = covmod.build_graded_covering(payload["K"], params)
     return True, cov.to_json_dict(), None
 
 
@@ -393,7 +397,7 @@ def _h_cover_verify(payload: dict):
         params = cov.params
     else:
         raise ConfigError("graded parameters missing (neither payload nor covering has them)")
-    report = covmod.verify_graded(cov, covmod.as_box(payload["K"]), params)
+    report = covmod.verify_graded(cov, payload["K"], params)
     return report.overall, report.to_json_dict(), None
 
 
@@ -419,7 +423,7 @@ def _h_criterion_check(payload: dict):
 
 
 def _h_unif_check(payload: dict):
-    po = dict(payload["params"])
+    po = payload["params"]
     params = critmod.UnifParams(
         m_prime=int(po["m_prime"]), alpha=float(po["alpha"]), C1=float(po["C1"]),
         C2=float(po["C2"]), beta=float(po["beta"]), M0=float(po["M0"]),
@@ -463,9 +467,8 @@ def _h_carac_check(payload: dict):
         c=float(po["c"]), C=float(po["C"]),
         space_norm=_parse_norm(po.get("norm")),
     )
-    schedule = [(int(n), tuple(float(x) for x in lam)) for n, lam in payload["schedule"]]
     report = critmod.check_carac_conditions(
-        _parse_families(payload["families"]), schedule, params)
+        _parse_families(payload["families"]), payload["schedule"], params)
     return _report_out(report)
 
 
@@ -577,11 +580,7 @@ def run(job: dict) -> int:
             return 2
         text = _csv_text(*csv_data)
     else:
-        report = dict(report)
-        report.setdefault("meta", {})
-        report["meta"] = dict(report["meta"])
-        report["meta"]["seed"] = seed
-        report["meta"]["command"] = command
+        report.setdefault("meta", {}).update(seed=seed, command=command)
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
 
     path = output.get("path")

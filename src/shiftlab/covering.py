@@ -55,10 +55,6 @@ def as_box(obj) -> Box:
     return box
 
 
-def box_max_side(box: Box) -> float:
-    return max(hi - lo for lo, hi in box)
-
-
 @dataclass(frozen=True)
 class Cell:
     n: int
@@ -163,7 +159,7 @@ class LogCoveringParams:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LogCoveringParams":
-        return cls(box=as_box(obj["box"]), m=int(obj["m"]), r=int(obj["r"]), base=int(obj["base"]))
+        return cls(box=obj["box"], m=int(obj["m"]), r=int(obj["r"]), base=int(obj["base"]))
 
 
 @dataclass(frozen=True)
@@ -293,14 +289,6 @@ def _grid_boxes(K: Box, g: int) -> Iterator[Box]:
         yield tuple((e[i], e[i + 1]) for e, i in zip(edges, idx))
 
 
-def log_covering_cell_count(sigma: int, d: int = 2) -> int:
-    """Largest d-th power of an integer not exceeding floor((log sigma)^3 + 1)."""
-    raw = math.floor(math.log(sigma) ** 3 + 1.0)
-    if raw < 1:
-        raise CoveringInfeasibleError("budget", f"sigma = {sigma} too small: no cells")
-    return _iroot(raw, d) ** d
-
-
 def log_covering_power(p: LogCoveringParams, j: int) -> int:
     """Power N_j attached to the j-th cell (1-based), an exact integer."""
     return (p.m - 1) * p.sigma + p.base ** (p.m - 1) * (j + p.r) ** p.r
@@ -327,7 +315,7 @@ def build_log_covering(p: LogCoveringParams, q_override: Optional[int] = None) -
             raise CoveringInfeasibleError(
                 "budget", f"log covering over sigma = {p.base}**{p.m} exceeds the cap of "
                 f"{_MAX_LOG_CELLS} cells")
-        q = log_covering_cell_count(p.sigma, d)
+        q = _iroot(math.floor(math.log(p.sigma) ** 3 + 1.0), d) ** d
     else:
         q = int(q_override)
         if q < 1:
@@ -547,7 +535,7 @@ def build_graded_covering(K, p: GradedParams, g_max: int = 40) -> Covering:
     d = len(K)
     if d != p.d:
         raise ValueError(f"params declare d = {p.d} but K has {d} axes")
-    S = box_max_side(K)
+    S = max(hi - lo for lo, hi in K)
     if S > p.c * p.D:
         raise CoveringInfeasibleError(
             "diam", f"diam(K) = {S} exceeds c*D = {p.c * p.D}")

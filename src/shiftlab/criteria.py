@@ -662,10 +662,18 @@ def check_carac_conditions(
             w = _windows_at(fams[ax], lam_k[ax], offs, n_k)
             dens[ax, k] = w[:, 0]
             if k < q - 1:
-                tails[k, ax] = _norm_from_logcoeffs(w[:, 1:] - dens[ax, k + 1:].T, p.space_norm)
+                logcs = w[:, 1:] - dens[ax, k + 1:].T
+                try:
+                    tails[k, ax] = _norm_from_logcoeffs(logcs, p.space_norm)
+                except OverflowError:  # a guard per (k, axis) took about a tenth of a q = 30 job
+                    with _in_double_range(f"the (iii) norm at k = {k} on axis {ax}"):
+                        raise
     # (ii) per axis: || sum_k what_{n_k}(lambda_k(i))^{-1/m} e_{n_k} || < eps,
     # where log what_{n_k}(lambda_k) = window(lambda_k, 0, n_k) is dens[ax, k, 0]
-    vals = _norm_from_logcoeffs(-dens[:, :, 0] / p.m, p.space_norm)
+    vals = []
+    for ax in range(d):
+        with _in_double_range(f"the (ii) norm on axis {ax}"):
+            vals += _norm_from_logcoeffs(-dens[ax:ax + 1, :, 0] / p.m, p.space_norm)
     ax = int(np.argmax(vals))  # the first axis at the maximum
     conds["ii"] = CheckResult(
         vals[ax] < p.eps, vals[ax], p.eps, witness={"axis": ax}, evaluations=d * q)

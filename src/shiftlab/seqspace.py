@@ -94,9 +94,6 @@ class SeqVec:
     def nnz(self) -> int:
         return len(self._e)
 
-    def is_empty(self) -> bool:
-        return not self._e
-
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "SeqVec") -> "SeqVec":

@@ -142,11 +142,11 @@ def _positive(name: str, value) -> float:
 
 @contextmanager
 def _in_double_range(what: str):
-    """Raise a numpy overflow in the block as a ValueError naming the quantity."""
+    """Raise a numpy or math overflow in the block as a ValueError naming the quantity."""
     try:
         with np.errstate(over="raise"):
             yield
-    except FloatingPointError:
+    except (FloatingPointError, OverflowError):
         raise ValueError(f"{what} overflows the double range") from None
 
 
@@ -214,20 +214,6 @@ def _affine_fsum_window(alpha: float, lam: float, l: int, n: int) -> float:
         for s in range(l + 1, l + n + 1, _CHUNK)))
 
 
-def _affine0_lgamma_shift(lam: float, z: int) -> float:
-    """log(Gamma(z+lam)/Gamma(z)) for the affine(0) cumulative product.
-
-    Exact-grade partial product below the Stirling threshold, Stirling's
-    cancellation-free ratio above it.
-    """
-    if z < _STIRLING_MIN:
-        head = math.lgamma(1.0 + lam)
-        if z > 1:
-            head += _affine_fsum_window(0.0, lam, 0, z - 1)
-        return head
-    return lgamma_ratio(float(z), lam)
-
-
 @lru_cache(maxsize=8)
 def _affine_prefix_table(alpha: float, lam: float, size: int):
     """Compensated prefix sums (s, c) of t_i = log1p(lam / i**(1-alpha)), i < size.
@@ -272,8 +258,12 @@ def _affine_window(alpha: float, lam: float, l: int, n: int) -> float:
         s, c = _affine_prefix_table(alpha, lam, _table_size(b))
         return _table_diff(s[b], s[l], c[b], c[l])
     if alpha == 0.0 and n > _FSUM_MAX:
-        # prod_{i=l+1}^{l+n} (1 + lam/i) = Gamma-ratio telescoping
-        return _affine0_lgamma_shift(lam, l + n + 1) - _affine0_lgamma_shift(lam, l + 1)
+        # prod_{i=l+1}^{l+n} (1 + lam/i) = Gamma-ratio telescoping: Stirling's
+        # ratio from _STIRLING_MIN on (always at the upper end), and below it
+        # the exact-grade log Gamma(1 + lam) plus a partial product
+        low = (lgamma_ratio(float(l + 1), lam) if l + 1 >= _STIRLING_MIN
+               else math.lgamma(1.0 + lam) + _affine_fsum_window(0.0, lam, 0, l))
+        return lgamma_ratio(float(l + n + 1), lam) - low
     return _affine_fsum_window(alpha, lam, l, n)
 
 

@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from contextlib import contextmanager
+import sys
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .covering import Covering, LogCoveringParams, build_log_covering
-from .seqspace import L1, MAX_INDEX, ProductKind, SeqVec, norm, power, product
-from .weights import (WeightFamily, _positive, apply_backward_power, log_cum_window,
-                      log_cum_window_offsets)
+from .seqspace import L1, MAX_INDEX, ProductKind, SeqVec, norm, product
+from .weights import (WeightFamily, _in_double_range, _positive, apply_backward_power,
+                      log_cum_window, log_cum_window_offsets)
 
 _BUDGET = 2_000_000  # default nonzeros**m allowed in a sparse expansion
 
@@ -50,16 +50,6 @@ class SupportCollisionError(ValueError):
 
 class BruteForceBudgetError(RuntimeError):
     """Convolution power too large to expand; use the analytic path."""
-
-
-@contextmanager
-def _in_range(what: str, ax: int, lam: float):
-    """Re-raise an OverflowError in the block as a ValueError naming the quantity."""
-    try:
-        yield
-    except OverflowError:
-        raise ValueError(f"{what} on axis {ax} at lambda = {lam!r} overflows the double "
-                         f"range") from None
 
 
 def _support_top(xs: Sequence[SeqVec]) -> Optional[int]:
@@ -207,21 +197,30 @@ def build_witness(cfg: WitnessConfig, on_collision: str = "error") -> Witness:
     if on_collision not in ("error", "merge"):
         raise ValueError("on_collision must be 'error' or 'merge'")
     cov = cfg.cov_override if cfg.cov_override is not None else build_log_covering(cfg.log_cov)
-    m = cfg.m
-    sigma = cfg.sigma
+    m, base = cfg.m, cfg.log_cov.base
     d = cfg.d
     powers = cov.powers
     q = cov.q
 
     # a covering's powers strictly increase, so only N_1 can be too small;
-    # tested before any window, since the separator's has length m*sigma
+    # tested before any window, since the separator's has length m*sigma.
+    # Where log10 puts (m-1)*sigma past int-to-str's digit limit (Python
+    # 3.10.7 on), every printable N_1 is smaller: sigma = base**m is then
+    # neither formed nor printed
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if (limit and math.log10(m - 1) + m * math.log10(base) >= limit
+            and powers[0] < 10**limit):
+        raise ValueError(f"cell power N_1 = {powers[0]} smaller than (m-1)*sigma = "
+                         f"{m - 1}*{base}**{m}")
+    sigma = cfg.sigma
     if powers[0] < (m - 1) * sigma:
         raise ValueError(f"cell power N_1 = {powers[0]} smaller than (m-1)*sigma = {(m-1)*sigma}")
     log_eps, eps = [], []
     for ax in range(d):
         a_lo = cfg.log_cov.box[ax][0]
         log_eps.append(-log_cum_window(cfg.fams[ax], a_lo, 0, m * sigma) / m)
-        with _in_range("the separator coefficient eps", ax, a_lo):
+        with _in_double_range(
+                f"the separator coefficient eps on axis {ax} at lambda = {a_lo!r}"):
             eps.append(math.exp(log_eps[-1]))
 
     coeffs = []
@@ -236,9 +235,13 @@ def build_witness(cfg: WitnessConfig, on_collision: str = "error") -> Witness:
                    for cell, n_j in zip(cov.cells, powers)]
         cs = []
         for cell, row in zip(cov.cells, windows):
-            with _in_range("a d-coefficient", ax, cell.anchor[ax]):
+            try:
                 cs += [math.copysign(math.exp(sh - wl), vl)
                        for sh, wl, (_, vl) in zip(shift, row, v)]
+            except OverflowError:  # a guard per cell would cost more than its exps
+                with _in_double_range(
+                        f"a d-coefficient on axis {ax} at lambda = {cell.anchor[ax]!r}"):
+                    raise
         anchor_windows.append(np.reshape(windows, (q, len(v))))
         coeffs.append(np.reshape(cs, (q, len(v))))
 
@@ -332,7 +335,7 @@ def eval_analytic(w: Witness, lam: Sequence[float]) -> WitnessEval:
     if (w.cfg.m - 1) * top < n_i:
         premature = 0.0
     else:
-        premature = _premature_bruteforce(w, lam, n_i)
+        premature = _premature_bruteforce(w, lam, n_i)[0]
 
     return WitnessEval(p1_err=p1, p2_norm=p2, p3_norm=p3, premature_max=premature,
                        separation_ok=sep, cell_index=i, dominant_branch=branches)
@@ -355,9 +358,9 @@ def _axis_errors(w: Witness, ax: int, x: float, i: int) -> Tuple[float, float, f
         dt = np.int64 if w.powers[-1] + ls[-1] <= MAX_INDEX else object
         offs = (np.array(w.powers[i:], dtype=dt) - n_i)[:, None] + np.array(ls, dtype=dt)
         dw = (log_cum_window_offsets(fam, x, offs, n_i) - w.anchor_windows[ax][i:]).tolist()
-        with _in_range("P1", ax, x):
+        with _in_double_range(f"P1 on axis {ax} at lambda = {x!r}"):
             p1 = math.fsum(abs(vl) * abs(math.expm1(e)) for e, (_, vl) in zip(dw[0], v))
-        with _in_range("P2", ax, x):
+        with _in_double_range(f"P2 on axis {ax} at lambda = {x!r}"):
             terms = [abs(vl) * math.exp(e) for row in dw[1:] for e, (_, vl) in zip(row, v)]
             p2 = math.fsum(terms)
         if terms:
@@ -366,7 +369,7 @@ def _axis_errors(w: Witness, ax: int, x: float, i: int) -> Tuple[float, float, f
     k = cfg.m * cfg.sigma - n_i  # the separator's index after the shift
     p3 = 0.0
     if k >= 0:
-        with _in_range("P3", ax, x):
+        with _in_double_range(f"P3 on axis {ax} at lambda = {x!r}"):
             p3 = math.exp(cfg.m * w.log_eps[ax] + log_cum_window(fam, x, k, n_i))
     return p1, p2, p3, branch
 
@@ -381,11 +384,13 @@ def _conv_budget_check(w: Witness, n: int, budget: int, advice: str):
 
 def _shift(w: Witness, ax: int, x: float, N: int, vec: SeqVec) -> SeqVec:
     """B^N vec on axis ax at lam = x, by the closed-form sparse shift."""
-    with _in_range(f"the brute-force shift B^{N}", ax, x):
+    with _in_double_range(f"the brute-force shift B^{N} on axis {ax} at lambda = {x!r}"):
         return apply_backward_power(w.cfg.fams[ax], x, N, vec)
 
 
-def _premature_bruteforce(w: Witness, lam, N: int, budget: int = _BUDGET) -> float:
+def _premature_bruteforce(w: Witness, lam, N: int,
+                          budget: int = _BUDGET) -> Tuple[float, List[SeqVec]]:
+    """(max over n < m of the summed ||B^N (u')^n||_1, the per-axis (u')^(m-1))."""
     # eval_bruteforce has checked power m against the same budget, so only
     # eval_analytic's fallback can fail here
     m = w.cfg.m
@@ -401,7 +406,7 @@ def _premature_bruteforce(w: Witness, lam, N: int, budget: int = _BUDGET) -> flo
                 pws[ax] = product(pws[ax], w.vectors[ax], ProductKind.CONVOLUTION)
             total += norm(_shift(w, ax, lam[ax], N, pws[ax]), L1)
         worst = max(worst, total)
-    return worst
+    return worst, pws
 
 
 def eval_bruteforce(w: Witness, lam: Sequence[float], N: int,
@@ -412,6 +417,7 @@ def eval_bruteforce(w: Witness, lam: Sequence[float], N: int,
     the target support give the approach error, the index m*sigma - N gives
     the separator tail, everything else is the later-cell tail.  Feasibility
     (nonzeros**m against the budget) is checked before any expansion.
+    (u')^m is one more product on the premature powers' (u')^(m-1).
     """
     lam = tuple(float(x) for x in lam)
     cfg = w.cfg
@@ -419,13 +425,14 @@ def eval_bruteforce(w: Witness, lam: Sequence[float], N: int,
     p = cfg.p_support
     _conv_budget_check(w, m, budget, "use the analytic path")
     i = locate_cell(w.covering, lam)
+    premature, pws = _premature_bruteforce(w, lam, N, budget)
 
     p1 = []
     p2 = []
     p3 = []
     idx3 = m * sigma - N
     for ax in range(d):
-        pw = power(w.vectors[ax], m, ProductKind.CONVOLUTION)
+        pw = product(pws[ax], w.vectors[ax], ProductKind.CONVOLUTION)
         res = _shift(w, ax, lam[ax], N, pw)
         head: Dict[int, float] = {}
         tail_sum = []
@@ -441,7 +448,6 @@ def eval_bruteforce(w: Witness, lam: Sequence[float], N: int,
         p2.append(math.fsum(tail_sum))
         p3.append(p3_val)
 
-    premature = _premature_bruteforce(w, lam, N, budget)
     sep = _separation(w, N)
     return WitnessEval(p1_err=tuple(p1), p2_norm=tuple(p2), p3_norm=tuple(p3),
                        premature_max=premature, separation_ok=sep, cell_index=i)

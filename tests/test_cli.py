@@ -293,6 +293,50 @@ class TestExitCodeContract:
             assert self.run_exit_two({"command": command, "payload": payload}, capsys) == [
                 f"shiftlab: config error: {line}"]
 
+    def test_separator_floor_past_the_digit_limit_is_named_without_sigma(
+            self, monkeypatch, capsys):
+        # with cov_override, (m-1)*sigma at base 100 has 4,300 digits at
+        # m = 2148, int-to-str's limit, and more from m = 2149 on: there the
+        # N_1 test names sigma as 100**m and never forms it
+        def small_sigma(p):
+            assert p.m <= 2148, f"sigma = {p.base}**{p.m} was formed"
+            return p.base**p.m
+
+        monkeypatch.setattr(LogCoveringParams, "sigma", property(small_sigma))
+        payload = json.loads((EXAMPLES / "witness_eval.json").read_text())
+        head = "shiftlab: config error: cell power N_1 = 10200 smaller than (m-1)*sigma = "
+        for m, floor in ((2148, "2147" + "0" * 4296), (2149, "2148*100**2149"),
+                         (3000, "2999*100**3000"), (10**6, "999999*100**1000000")):
+            payload["config"]["log_cov"]["m"] = m
+            assert self.run_exit_two({"command": "witness-eval", "payload": payload},
+                                     capsys) == [head + floor]
+
+    def test_carac_norm_past_the_double_range_is_named(self, capsys):
+        # geometric at lambda = 0.5: the (iii) tail at k = 0 holds the log
+        # coefficient (n_2 - n_0)*log 2 = 1386; (ii)'s -n_k*log(0.5)/m passes
+        # 709 on axis 1 at n_k = 2000 with m = 1
+        payload = json.loads((EXAMPLES / "carac_check.json").read_text())
+        payload["families"] = [{"variant": "geometric"}]
+        payload["schedule"] = [[n, [0.5]] for n in (1000, 2000, 3000)]
+        payload["params"]["K"] = [[0.5, 0.5]]
+        job = {"command": "carac-check", "payload": payload}
+        assert self.run_exit_two(job, capsys) == [
+            "shiftlab: config error: the (iii) norm at k = 0 on axis 0 overflows the double range"]
+        payload["families"] = [{"variant": "geometric"}] * 2
+        payload["schedule"] = [[n, [1.5, 0.5]] for n in (1030, 2000)]
+        payload["params"].update(K=[[1.5, 1.5], [0.5, 0.5]], m=1)
+        assert self.run_exit_two(job, capsys) == [
+            "shiftlab: config error: the (ii) norm on axis 1 overflows the double range"]
+
+    def test_orbit_past_the_double_range_is_named(self, capsys):
+        # T^N e_2000 = 3**N e_(2000-N) under geometric weights at lambda = 3
+        payload = json.loads((EXAMPLES / "orbit_probe.json").read_text())
+        payload.update(families=[{"variant": "geometric"}], n_max=2000,
+                       x=[{"entries": [[2000, 1.0]]}])
+        payload["lambda"] = [3.0]
+        assert self.run_exit_two({"command": "orbit-probe", "payload": payload}, capsys) == [
+            "shiftlab: config error: T^N x at N = 647 overflows the double range"]
+
     @pytest.mark.parametrize("name,path,value", [
         ("graded_cover_build", ("params", "D"), math.nan),
         ("corollary_check", ("constants", "D2"), math.inf),
@@ -526,6 +570,8 @@ class TestWitnessCommands:
     @pytest.mark.parametrize("box, m, r, base, what", [
         ([1.15, 1.51], 3, 1, 96, "P1 on axis 0 at lambda = 1.33"),  # in eval_analytic
         ([0.6, 0.9], 2, 2, 40, "the separator coefficient eps on axis 0 at lambda = 0.6"),
+        # the fifth cell's anchor: base*(j + r)**r*log(1/anchor) passes 709 at j = 5
+        ([0.6, 0.9], 2, 2, 37, "a d-coefficient on axis 0 at lambda = 0.6035809018567639"),
     ])
     def test_a_value_past_the_double_range_is_named(self, capsys, box, m, r, base, what):
         assert run(self.geometric_sweep(box, m, r, base)) == 2

@@ -574,6 +574,11 @@ class TestAffinePurePowerCrossCheck:
 
 
 class TestValidationAndJson:
+    def test_a_math_overflow_in_double_range_is_named(self):
+        with pytest.raises(ValueError, match=r"^T\^N x at N = 647 overflows the double range$"):
+            with weights._in_double_range("T^N x at N = 647"):
+                math.exp(647 * math.log(3.0))
+
     def test_variant_validation(self):
         with pytest.raises(ValueError):
             WeightFamily("affine", None)

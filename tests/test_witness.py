@@ -9,12 +9,14 @@ import pytest
 
 from shiftlab import witness
 from shiftlab.covering import Cell, Covering, LogCoveringParams, build_log_covering
-from shiftlab.seqspace import SeqVec, basis
-from shiftlab.weights import WeightFamily, lipschitz_ratio, log_cum_window
+from shiftlab.seqspace import L1, ProductKind, SeqVec, basis, norm, power
+from shiftlab.weights import (WeightFamily, apply_backward_power, lipschitz_ratio,
+                              log_cum_window)
 from shiftlab.witness import (
     BruteForceBudgetError,
     SupportCollisionError,
     WitnessConfig,
+    WitnessEval,
     build_witness,
     eval_analytic,
     eval_bruteforce,
@@ -312,6 +314,26 @@ class TestArrayPath:
                     scalar_p1_p2(w, lam)
 
 
+def reference_bruteforce(w, lam, N, i):
+    """eval_bruteforce with every power (u')**n, n <= m, expanded by power()."""
+    cfg = w.cfg
+    shifted = [[apply_backward_power(fam, x, N, power(vec, n, ProductKind.CONVOLUTION))
+                for n in range(1, cfg.m + 1)]
+               for fam, x, vec in zip(cfg.fams, lam, w.vectors)]
+    p1, p2, p3 = [], [], []
+    for ax, res in enumerate(s[-1] for s in shifted):
+        items = list(res.items())
+        p1.append(norm(SeqVec({k: c for k, c in items if k <= cfg.p_support}) - cfg.v[ax], L1))
+        p2.append(math.fsum(abs(c) for k, c in items
+                            if cfg.p_support < k != cfg.m * cfg.sigma - N))
+        p3.append(abs(res.coeff(cfg.m * cfg.sigma - N)) if cfg.m * cfg.sigma - N > cfg.p_support
+                  else 0.0)
+    premature = max([0.0] + [sum(norm(s[n], L1) for s in shifted) for n in range(cfg.m - 1)])
+    return WitnessEval(p1_err=tuple(p1), p2_norm=tuple(p2), p3_norm=tuple(p3),
+                       premature_max=premature, separation_ok=witness._separation(w, N),
+                       cell_index=i)
+
+
 class TestOracleEquivalence:
     def test_twenty_random_points(self):
         # pure_power, and the paper's affine(0) and affine(0.4), whose windows
@@ -403,6 +425,19 @@ class TestOracleEquivalence:
         eb = eval_bruteforce(w, lam, w.powers[eval_analytic(w, lam).cell_index])
         assert eb.separation_ok
         assert eb.premature_max == 0.0
+
+    @pytest.mark.parametrize("m, base", [(2, 100), (3, 22), (4, 10)])
+    def test_bruteforce_matches_an_expansion_through_power(self, m, base):
+        # eval_bruteforce takes (u')**m as one more product on the premature
+        # chain's (u')**(m-1); power() builds it as the same right products
+        u = (0.3 * basis(0), 0.2 * basis(1))
+        cfg = override_config(u=u, v=(basis(0) + 0.5 * basis(1), basis(0)), m=m, base=base)
+        w = build_witness(cfg)
+        lam = (1.27, 1.22)
+        i = eval_analytic(w, lam).cell_index
+        for N in (w.powers[i], w.powers[i] // 2):
+            got, want = eval_bruteforce(w, lam, N), reference_bruteforce(w, lam, N, i)
+            assert repr(got) == repr(want)  # bit for bit, the sign of every zero too
 
     def test_an_overflowing_shift_is_named(self):
         p = LogCoveringParams(box=((1.2, 1.3),), m=2, r=1, base=40)
